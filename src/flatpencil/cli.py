@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -111,6 +112,16 @@ def _lambdas(job, seed):
     return default_lambda_samples(seed)
 
 
+def _number(x):
+    """A float as strict JSON carries it: non-finite values become the
+    strings "NaN", "Infinity" and "-Infinity"."""
+    if math.isfinite(x):
+        return x
+    if math.isnan(x):
+        return "NaN"
+    return "Infinity" if x > 0 else "-Infinity"
+
+
 def _jsonify(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
@@ -120,13 +131,20 @@ def _jsonify(obj):
         return _jsonify(obj.tolist())
     if isinstance(obj, complex):
         if obj.imag == 0:
-            return obj.real
-        return {"re": obj.real, "im": obj.imag}
+            return _number(obj.real)
+        return {"re": _number(obj.real), "im": _number(obj.imag)}
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonify(obj.item())
     if isinstance(obj, np.bool_):
         return bool(obj)
+    if isinstance(obj, float):
+        return _number(obj)
     return obj
+
+
+def _dumps(report):
+    """One report line: strict JSON, keys sorted."""
+    return json.dumps(_jsonify(report), sort_keys=True, allow_nan=False)
 
 
 def _run_pair_job(job, manifest, seed, tol, map_fn):
@@ -385,9 +403,9 @@ def _run_job(idx, job, manifest, seed, tol, map_fn):
         "kind": kind,
         "tool_version": __version__,
         "seed": seed,
-        "verdicts": _jsonify(verdicts),
-        "max_residuals": _jsonify(residuals),
-        "witnesses": _jsonify(witnesses),
+        "verdicts": verdicts,
+        "max_residuals": residuals,
+        "witnesses": witnesses,
         "assertions_hold": ok,
         "elapsed_s": round(time.perf_counter() - t0, 6),
     }
@@ -414,7 +432,7 @@ def _cmd_run(args):
             report, ok = _run_job(idx, job, manifest, args.seed, args.tol,
                                   map_fn)
             all_ok = all_ok and ok
-            print(json.dumps(report, sort_keys=True), file=out)
+            print(_dumps(report), file=out)
     except (ManifestError, KeyError, FlatPencilError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -428,7 +446,7 @@ def _cmd_run(args):
 
 def _cmd_identities(args):
     report = run_identities(args.trials, args.seed)
-    text = json.dumps(report, sort_keys=True)
+    text = _dumps(report)
     if args.out:
         with open(args.out, "w") as fh:
             print(text, file=fh)

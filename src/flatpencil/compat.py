@@ -17,6 +17,7 @@ potential Phi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -133,8 +134,10 @@ class _Worst:
         self.wit = {}
 
     def update(self, name, value, point):
+        """Keep the larger residual; a non-finite one wins and then stays."""
         v = float(value)
-        if name not in self.res or v > self.res[name]:
+        old = self.res.get(name)
+        if old is None or (math.isfinite(old) and not v <= old):
             self.res[name] = v
             self.wit[name] = np.asarray(point)
 

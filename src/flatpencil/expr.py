@@ -2,14 +2,15 @@
 
 Expressions are parsed into a small AST over the variables u1..uN, complex
 literals and the functions exp, ln, sin, cos, sqrt.  Evaluation propagates
-truncated Taylor data (value, gradient, Hessian, third-order tensor) through
-the tree, so every partial derivative up to the requested order is analytic,
-not finite-differenced.  All arithmetic is complex; principal branches are
-used for ln and sqrt.
+truncated Taylor data (value, gradient, Hessian, third-order tensor, each
+stored only up to the requested order) through the tree, so every partial
+derivative up to the requested order is analytic, not finite-differenced.
+All arithmetic is complex; principal branches are used for ln and sqrt.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -24,53 +25,41 @@ MAX_ORDER = 3
 # AST
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     value: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     index: int  # zero-based
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp:
     op: str  # '+', '-', '*', '/'
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
     arg: "Node"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pow:
     base: "Node"
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     func: str  # 'exp', 'ln', 'sin', 'cos', 'sqrt'
     arg: "Node"
 
 
-@dataclass(frozen=True)
-class Partial:
-    """Derivative of a subtree with respect to one coordinate.
-
-    Evaluated by computing the inner jet one order higher and slicing, so a
-    Partial node reduces the maximum jet order available above it.
-    """
-
-    arg: "Node"
-    index: int
-
-
-Node = Union[Const, Var, BinOp, Neg, Pow, Call, Partial]
+Node = Union[Const, Var, BinOp, Neg, Pow, Call]
 
 
 # Simplifying constructors used by symbolic differentiation; they fold
@@ -178,9 +167,6 @@ def _diff_node(node, k):
         if node.func == "sqrt":
             return _div_node(da, _mul_node(Const(2 + 0j), node))
         raise ValueError(f"unknown function {node.func!r}")
-    if isinstance(node, Partial):
-        # mixed partials commute for the smooth fields handled here
-        return Partial(_diff_node(node.arg, k), node.index)
     raise TypeError(f"unexpected node {node!r}")
 
 
@@ -220,16 +206,24 @@ def _mirror3(t):
     return t
 
 
+def _zero_slots(n, order, batch_shape):
+    """Zero grad, hess, ... up to ``order``."""
+    return [np.zeros(batch_shape + (n,) * k, dtype=complex)
+            for k in range(1, order + 1)]
+
+
 class Jet:
     """Taylor data of a scalar function at a (possibly batched) point.
 
     value has the batch shape B; grad is B+(n,), hess B+(n,n), third
-    B+(n,n,n).  Slots above ``order`` are zero.
+    B+(n,n,n).  Only the slots up to ``order`` are stored; the ones above it
+    are None, so no batch-sized array is allocated or added above the
+    requested order.
     """
 
     __slots__ = ("n", "order", "value", "grad", "hess", "third")
 
-    def __init__(self, n, order, value, grad, hess, third):
+    def __init__(self, n, order, value, grad=None, hess=None, third=None):
         self.n = n
         self.order = order
         self.value = value
@@ -237,107 +231,88 @@ class Jet:
         self.hess = hess
         self.third = third
 
+    def slots(self):
+        """(value, grad, hess, third) truncated after ``order``."""
+        return (self.value, self.grad, self.hess, self.third)[: self.order + 1]
+
     @staticmethod
     def constant(c, n, order, batch_shape):
         value = np.full(batch_shape, complex(c), dtype=complex)
-        return Jet(
-            n,
-            order,
-            value,
-            np.zeros(batch_shape + (n,), dtype=complex),
-            np.zeros(batch_shape + (n, n), dtype=complex),
-            np.zeros(batch_shape + (n, n, n), dtype=complex),
-        )
+        return Jet(n, order, value, *_zero_slots(n, order, batch_shape))
 
     @staticmethod
     def variable(i, point, order):
-        batch = point.shape[:-1]
         n = point.shape[-1]
-        j = Jet.constant(0.0, n, order, batch)
-        j.value = point[..., i].astype(complex)
+        j = Jet(n, order, point[..., i].astype(complex),
+                *_zero_slots(n, order, point.shape[:-1]))
         if order >= 1:
             j.grad[..., i] = 1.0
         return j
 
-    def _zeros_like(self):
-        return Jet.constant(0.0, self.n, self.order, self.value.shape)
-
     def __add__(self, other):
-        return Jet(
-            self.n,
-            self.order,
-            self.value + other.value,
-            self.grad + other.grad,
-            self.hess + other.hess,
-            self.third + other.third,
-        )
+        return Jet(self.n, self.order,
+                   *map(np.add, self.slots(), other.slots()))
 
     def __sub__(self, other):
-        return Jet(
-            self.n,
-            self.order,
-            self.value - other.value,
-            self.grad - other.grad,
-            self.hess - other.hess,
-            self.third - other.third,
-        )
+        return Jet(self.n, self.order,
+                   *map(np.subtract, self.slots(), other.slots()))
 
     def __neg__(self):
-        return Jet(self.n, self.order, -self.value, -self.grad, -self.hess, -self.third)
+        return Jet(self.n, self.order, *map(np.negative, self.slots()))
 
     def __mul__(self, other):
         f, g = self, other
-        out = f._zeros_like()
         fv = f.value[..., None]
         gv = g.value[..., None]
-        out.value = f.value * g.value
+        out = Jet(f.n, f.order, f.value * g.value)
         if f.order >= 1:
             out.grad = f.grad * gv + fv * g.grad
         if f.order >= 2:
-            out.hess = (
+            out.hess = _mirror2(
                 f.hess * gv[..., None]
                 + _outer(f.grad, g.grad)
                 + _outer(g.grad, f.grad)
                 + fv[..., None] * g.hess
             )
-            _mirror2(out.hess)
         if f.order >= 3:
-            out.third = (
+            out.third = _mirror3(
                 f.third * gv[..., None, None]
                 + _sym_pair(f.hess, g.grad)
                 + _sym_pair(g.hess, f.grad)
                 + fv[..., None, None] * g.third
             )
-            _mirror3(out.third)
         return out
 
-    def compose(self, d0, d1, d2, d3):
-        """Chain rule for phi(self) given derivatives of phi at self.value."""
-        out = self._zeros_like()
-        out.value = d0
+    def compose(self, derivs):
+        """Chain rule for phi(self).
+
+        ``derivs`` yields phi, phi', phi'', ... at self.value; it is read
+        only up to ``order``, so a generator computes no higher derivative.
+        """
+        d = list(itertools.islice(derivs, self.order + 1))
+        out = Jet(self.n, self.order, d[0])
         if self.order >= 1:
-            out.grad = d1[..., None] * self.grad
+            out.grad = d[1][..., None] * self.grad
         if self.order >= 2:
-            out.hess = d1[..., None, None] * self.hess + d2[..., None, None] * _outer(
-                self.grad, self.grad
+            out.hess = _mirror2(
+                d[1][..., None, None] * self.hess
+                + d[2][..., None, None] * _outer(self.grad, self.grad)
             )
-            _mirror2(out.hess)
         if self.order >= 3:
             g1 = self.grad
-            out.third = (
-                d1[..., None, None, None] * self.third
-                + d2[..., None, None, None] * _sym_pair(self.hess, g1)
-                + d3[..., None, None, None]
+            out.third = _mirror3(
+                d[1][..., None, None, None] * self.third
+                + d[2][..., None, None, None] * _sym_pair(self.hess, g1)
+                + d[3][..., None, None, None]
                 * np.einsum("...a,...b,...c->...abc", g1, g1, g1)
             )
-            _mirror3(out.third)
         return out
 
     def reciprocal(self):
         v = self.value
         if np.any(v == 0):
             raise DomainError("division by zero")
-        return self.compose(1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
+        return self.compose(_reciprocal_derivs(v))
 
     def __truediv__(self, other):
         return self * other.reciprocal()
@@ -348,41 +323,83 @@ class Jet:
             return Jet.constant(1.0, self.n, self.order, v.shape)
         if e < 0 and np.any(v == 0):
             raise DomainError("zero raised to a negative power")
-        d = [v ** complex(e)]
-        coeff = 1.0
-        for k in range(1, MAX_ORDER + 1):
-            coeff *= e - (k - 1)
-            if coeff == 0:
-                d.append(np.zeros_like(v))
-            else:
-                d.append(coeff * v ** complex(e - k))
-        return self.compose(*d)
+        return self.compose(_power_derivs(v, e))
+
+
+# Derivatives phi, phi', phi'', phi''' of the elementary functions, computed
+# lazily so that Jet.compose evaluates only the ones its order needs.
+
+
+def _reciprocal_derivs(v):
+    yield 1.0 / v
+    yield -1.0 / v**2
+    yield 2.0 / v**3
+    yield -6.0 / v**4
+
+
+def _power_derivs(v, e):
+    yield v ** complex(e)
+    coeff = 1.0
+    for k in range(1, MAX_ORDER + 1):
+        coeff *= e - (k - 1)
+        yield np.zeros_like(v) if coeff == 0 else coeff * v ** complex(e - k)
+
+
+def _exp_derivs(v):
+    return itertools.repeat(np.exp(v))
+
+
+def _ln_derivs(v):
+    yield np.log(v)
+    yield 1.0 / v
+    yield -1.0 / v**2
+    yield 2.0 / v**3
+
+
+def _sin_derivs(v):
+    s = np.sin(v)
+    yield s
+    c = np.cos(v)
+    yield c
+    yield -s
+    yield -c
+
+
+def _cos_derivs(v):
+    c = np.cos(v)
+    yield c
+    s = np.sin(v)
+    yield -s
+    yield -c
+    yield s
+
+
+def _sqrt_derivs(v):
+    r = np.sqrt(v)
+    yield r
+    yield 0.5 / r
+    yield -0.25 / (v * r)
+    yield 0.375 / (v**2 * r)
+
+
+_CALL_DERIVS = {
+    "exp": _exp_derivs,
+    "ln": _ln_derivs,
+    "sin": _sin_derivs,
+    "cos": _cos_derivs,
+    "sqrt": _sqrt_derivs,
+}
 
 
 def _call_jet(func, j):
+    if func not in _CALL_DERIVS:
+        raise ValueError(f"unknown function {func!r}")
     v = j.value
-    if func == "exp":
-        w = np.exp(v)
-        return j.compose(w, w, w, w)
-    if func == "ln":
-        if np.any(v == 0):
-            raise DomainError("ln of zero")
-        return j.compose(np.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3)
-    if func == "sin":
-        s, c = np.sin(v), np.cos(v)
-        return j.compose(s, c, -s, -c)
-    if func == "cos":
-        s, c = np.sin(v), np.cos(v)
-        return j.compose(c, -s, -c, s)
-    if func == "sqrt":
-        if j.order >= 1 and np.any(v == 0):
-            raise DomainError("sqrt derivative at zero")
-        r = np.sqrt(v)
-        if j.order == 0:
-            z = np.zeros_like(v)
-            return j.compose(r, z, z, z)
-        return j.compose(r, 0.5 / r, -0.25 / (v * r), 0.375 / (v**2 * r))
-    raise ValueError(f"unknown function {func!r}")
+    if func == "ln" and np.any(v == 0):
+        raise DomainError("ln of zero")
+    if func == "sqrt" and j.order >= 1 and np.any(v == 0):
+        raise DomainError("sqrt derivative at zero")
+    return j.compose(_CALL_DERIVS[func](v))
 
 
 def _eval_node(node, point, order):
@@ -408,22 +425,7 @@ def _eval_node(node, point, order):
         return _eval_node(node.base, point, order).powi(node.exponent)
     if isinstance(node, Call):
         return _call_jet(node.func, _eval_node(node.arg, point, order))
-    if isinstance(node, Partial):
-        if order + 1 > MAX_ORDER:
-            raise ValueError(
-                "derivative field evaluated beyond available jet order"
-            )
-        inner = _eval_node(node.arg, point, order + 1)
-        k = node.index
-        out = Jet.constant(0.0, n, order, batch)
-        out.value = inner.grad[..., k].copy()
-        if order >= 1:
-            out.grad = inner.hess[..., k, :].copy()
-        if order >= 2:
-            out.hess = inner.third[..., k, :, :].copy()
-        return out
     raise TypeError(f"unexpected node {node!r}")
-
 
 # ---------------------------------------------------------------------------
 # Scalar fields
@@ -457,8 +459,10 @@ class ScalarField:
                 f"point has {pt.shape[-1]} components, field has dim {self.dim}"
             )
         jet = _eval_node(self.ast, pt, order)
-        if not np.all(np.isfinite(jet.value)):
-            raise DomainError(f"non-finite value of {self.source_text!r}")
+        for k, slot in enumerate(jet.slots()):
+            if not np.isfinite(slot).all():
+                what = "value" if k == 0 else f"order-{k} derivative"
+                raise DomainError(f"non-finite {what} of {self.source_text!r}")
         if pt.ndim == 1:
             jet.value = complex(jet.value)
         return jet
@@ -577,8 +581,6 @@ def _remap(node, mapping, new_dim):
         return Pow(_remap(node.base, mapping, new_dim), node.exponent)
     if isinstance(node, Call):
         return Call(node.func, _remap(node.arg, mapping, new_dim))
-    if isinstance(node, Partial):
-        return Partial(_remap(node.arg, mapping, new_dim), mapping[node.index])
     raise TypeError(node)
 
 
@@ -739,11 +741,29 @@ class _Parser:
         raise ParseError(f"unexpected token {t.text!r}", t.pos)
 
 
+# The AST is immutable, so the fields parsed from one (text, dim) share it.
+# Bounded like the pattern cache of `re`: when full, the oldest entry goes.
+_AST_CACHE = {}
+_AST_CACHE_MAX = 512
+
+
 def parse(text, dim):
-    """Parse an expression into a ScalarField of the given dimension."""
+    """Parse an expression into a ScalarField of the given dimension.
+
+    Every call returns a new ScalarField; repeated texts share their AST.
+    """
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression", 0)
     if dim < 1:
         raise ValueError("dimension must be positive")
-    ast = _Parser(text, dim).parse()
+    key = (text, dim)
+    ast = _AST_CACHE.get(key)
+    if ast is None:
+        ast = _Parser(text, dim).parse()
+        if len(_AST_CACHE) >= _AST_CACHE_MAX:
+            try:  # another thread may be evicting at the same time
+                del _AST_CACHE[next(iter(_AST_CACHE))]
+            except (StopIteration, RuntimeError, KeyError):
+                pass
+        _AST_CACHE[key] = ast
     return ScalarField(text, ast, dim)

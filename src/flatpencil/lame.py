@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,21 +38,29 @@ class LameData:
             raise ValueError("f entries must be single-variable fields")
 
 
-@dataclass
+@dataclass(slots=True)
 class RotationCoeffs:
-    """beta_ij samples: value(u) -> (N, N), deriv(u) -> (k, i, j) partials."""
+    """beta_ij samples: value(u) -> (N, N), deriv(u) -> (k, i, j) partials.
+
+    jet(u) returns both at once; the residuals call it once per point so that
+    a source sharing work between value and partials pays for it once.
+    """
 
     dim: int
     provenance: str
     _value: Callable[[np.ndarray], np.ndarray]
-    _deriv: Callable[[np.ndarray], np.ndarray]
+    _jet: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     beta_fields: Optional[List[List[ScalarField]]] = None
 
     def value(self, point):
         return self._value(np.asarray(point, dtype=float))
 
     def deriv(self, point):
-        return self._deriv(np.asarray(point, dtype=float))
+        return self.jet(point)[1]
+
+    def jet(self, point):
+        """(value, deriv) at one point."""
+        return self._jet(np.asarray(point, dtype=float))
 
     @staticmethod
     def from_fields(beta_fields, provenance="fields"):
@@ -66,22 +74,24 @@ class RotationCoeffs:
                         out[i, j] = beta_fields[i][j](point)
             return out
 
-        def deriv(point):
-            out = np.zeros((n, n, n), dtype=complex)
+        def jet(point):
+            val = np.zeros((n, n), dtype=complex)
+            der = np.zeros((n, n, n), dtype=complex)
             for i in range(n):
                 for j in range(n):
                     if i != j:
-                        jet = beta_fields[i][j].eval_jet(point, 1)
-                        out[:, i, j] = jet.grad
-            return out
+                        entry = beta_fields[i][j].eval_jet(point, 1)
+                        val[i, j] = entry.value
+                        der[:, i, j] = entry.grad
+            return val, der
 
-        return RotationCoeffs(n, provenance, value, deriv, beta_fields)
+        return RotationCoeffs(n, provenance, value, jet, beta_fields)
 
     @staticmethod
     def from_callable(dim, fn, step=FD_STEP, provenance="from-dressing"):
         """fn(u) -> (N, N) beta matrix; partials by 4th-order differences."""
 
-        def deriv(point):
+        def jet(point):
             out = np.zeros((dim, dim, dim), dtype=complex)
             for k in range(dim):
                 e = np.zeros(dim)
@@ -90,9 +100,9 @@ class RotationCoeffs:
                     -fn(point + 2 * e) + 8 * fn(point + e)
                     - 8 * fn(point - e) + fn(point - 2 * e)
                 ) / (12 * step)
-            return out
+            return fn(point), out
 
-        return RotationCoeffs(dim, provenance, fn, deriv, None)
+        return RotationCoeffs(dim, provenance, fn, jet, None)
 
 
 def rotation_from_H(d):
@@ -118,8 +128,7 @@ def lame_residuals(b, points):
     res1 = 0.0
     res2 = 0.0
     for p in np.atleast_2d(np.asarray(points)):
-        B = b.value(p)
-        D = b.deriv(p)
+        B, D = b.jet(p)
         for i in range(n):
             for j in range(n):
                 if i == j:
@@ -152,8 +161,7 @@ def reduction_residual(b, f, points):
     n = b.dim
     worst = 0.0
     for p in np.atleast_2d(np.asarray(points)):
-        B = b.value(p)
-        D = b.deriv(p)
+        B, D = b.jet(p)
         fv, fd = _f_values(f, p)
         for i in range(n):
             for j in range(i + 1, n):

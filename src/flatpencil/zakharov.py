@@ -9,10 +9,17 @@ identically.  The linear integral equation
 
     K_ij(s, s') = F_ij(s, s') + int_s^{smax} sum_l K_il(s, q) F_lj(q, s') dq
 
-is discretized by the composite trapezoid rule (Nystrom method, one dense
-solve per row node) and rotation coefficients are read off the diagonal,
-beta_ij(s) = K_ji(s, s).  The sqrt-ratio reduction of the kernel and the
-second-order PDE residuals for the potentials are also implemented.
+is discretized by the composite trapezoid rule (Nystrom method, one explicit
+inverse per row node, which also gives the row's condition number) and
+rotation coefficients are read off the diagonal, beta_ij(s) = K_ji(s, s).
+
+The kernel depends on the base point u only through the shifts s - u^i, so
+its u-partials come exactly from the Hessians of the potentials.  Rotation
+coefficients as functions of u (dressing_rotation) therefore get exact
+u-derivatives by differentiating the discrete equation with the same row
+inverse: one kernel tabulation and one inverse per point, no finite
+differences.  The sqrt-ratio reduction of the kernel and the second-order
+PDE residuals for the potentials are also implemented.
 """
 
 from __future__ import annotations
@@ -92,34 +99,49 @@ class KernelGrid:
     flag: str = "raw"
 
 
-def _phi_grad(phi, x, y):
-    """Gradient of a two-variable field on a broadcast (x, y) grid."""
-    pts = np.stack(np.broadcast_arrays(x, y), axis=-1)
-    return phi.eval_jet(pts, 1).grad
-
-
-def build_kernel(p):
-    """Tabulate the raw kernel on the grid.
+def _tabulate(Phi, u, s, order):
+    """F_ij(s_a, s_b) on the nodes s at base point u; at order 2 also dF/du.
 
     For i < j:  F_ij(s, s') = Phi_x(s - u^i, s' - u^j),
                 F_ji(s, s') = -Phi_y(s' - u^i, s - u^j),
-    and F_ii(s, s') = Phi_x(s - u^i, s' - u^i) with skew Phi_ii.
+    and F_ii(s, s') = Phi_x(s - u^i, s' - u^i) with skew Phi_ii.  Each
+    potential is evaluated once, on the F_ij grid; the F_ji grid is its
+    transpose.  F depends on u only through the shifts s - u^i, so
+
+        dF_ij/du^k = -delta_ik Phi_xx - delta_jk Phi_xy,
+        dF_ji/du^k = delta_ik Phi_yx + delta_jk Phi_yy  (transposed grid),
+        dF_ii/du^k = -delta_ik (Phi_xx + Phi_xy).
+
+    Returns (F, dF): F is (N, N, m, m); dF is (N, N, N, m, m) indexed
+    [k, i, j, a, b] at order 2 and None at order 1.
     """
-    n, m = p.dim, p.m
-    s = p.nodes
-    sa = s[:, None]  # row argument
-    sb = s[None, :]  # column argument
-    values = np.zeros((n, n, m, m), dtype=complex)
-    for (i, j), phi in p.Phi.items():
+    n, m = len(u), len(s)
+    F = np.zeros((n, n, m, m), dtype=complex)
+    dF = np.zeros((n, n, n, m, m), dtype=complex) if order == 2 else None
+    for (i, j), phi in Phi.items():
+        pts = np.stack(np.broadcast_arrays(s[:, None] - u[i],
+                                           s[None, :] - u[j]), axis=-1)
+        jet = phi.eval_jet(pts, order)
+        F[i, j] = jet.grad[..., 0]
+        if i != j:
+            F[j, i] = -jet.grad[..., 1].T
+        if dF is None:
+            continue
+        h = jet.hess
         if i == j:
-            g = _phi_grad(phi, sa - p.u[i], sb - p.u[i])
-            values[i, i] = g[..., 0]
+            dF[i, i, i] = -(h[..., 0, 0] + h[..., 0, 1])
         else:
-            g = _phi_grad(phi, sa - p.u[i], sb - p.u[j])
-            values[i, j] = g[..., 0]
-            g = _phi_grad(phi, sb - p.u[i], sa - p.u[j])
-            values[j, i] = -g[..., 1]
-    return KernelGrid(values, s, "raw")
+            dF[i, i, j] = -h[..., 0, 0]
+            dF[j, i, j] = -h[..., 0, 1]
+            dF[i, j, i] = h[..., 1, 0].T
+            dF[j, j, i] = h[..., 1, 1].T
+    return F, dF
+
+
+def build_kernel(p):
+    """Tabulate the raw kernel on the grid (see _tabulate for the entries)."""
+    s = p.nodes
+    return KernelGrid(_tabulate(p.Phi, p.u, s, 1)[0], s, "raw")
 
 
 def _sqrt_f_at(p, i, shift):
@@ -234,13 +256,62 @@ def _row_weights(nodes, a):
     return w
 
 
+def _row_operator(F, nodes, a):
+    """Nystrom matrix A and trapezoid weights w of row node s_a.
+
+    A[(j,b),(l,qq)] = delta_jl delta_bqq - w_qq F_lj(s_qq, s_b) over the
+    nodes qq, b >= a; the same matrix serves every i.
+    """
+    n, _, m, _ = F.shape
+    q = m - a  # nodes in [s_a, s_max]
+    w = _row_weights(nodes, a)
+    Fblk = F[:, :, a:, a:]  # (l, j, qq, b)
+    A = np.eye(n * q, dtype=complex)
+    A -= np.transpose(w[None, None, :, None] * Fblk,
+                      (1, 3, 0, 2)).reshape(n * q, n * q)
+    return A, w
+
+
+def _solve_row(F, nodes, a, dF=None, cond_limit=1e12):
+    """Solve row node s_a with one explicit inverse of its Nystrom matrix.
+
+    Returns (K, dK, cond): K[i, l, qq] = K_il(s_a, s_{a+qq}); cond is the
+    1-norm condition number ||A||_1 ||A^-1||_1.  Given the u-partials dF of
+    the kernel, dK[k, i, l, qq] solves the differentiated equation
+
+        A dK = dF_row + sum_qq w_qq K dF_blk
+
+    with the same inverse; otherwise dK is None.
+    """
+    n, _, m, _ = F.shape
+    q = m - a
+    A, w = _row_operator(F, nodes, a)
+    try:
+        Ainv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        raise SingularOperator(a, float("inf")) from None
+    cond = float(np.linalg.norm(A, 1) * np.linalg.norm(Ainv, 1))
+    if not np.isfinite(cond) or cond > cond_limit:
+        raise SingularOperator(a, cond)
+    rhs = F[:, :, a, a:].reshape(n, n * q).T  # columns: one per i
+    K = (Ainv @ rhs).T.reshape(n, n, q)
+    if dF is None:
+        return K, None, cond
+    drhs = dF[:, :, :, a, a:] + np.einsum(
+        "ilq,q,kljqb->kijb", K, w, dF[:, :, :, a:, a:]
+    )  # (k, i, j, b); columns: one per (k, i)
+    dK = (Ainv @ drhs.reshape(n * n, n * q).T).T.reshape(n, n, n, q)
+    return K, dK, cond
+
+
 def solve_integral_equation(k, decay_tol=DECAY_TOL, rows=None,
                             cond_limit=1e12):
     """Nystrom solve of the truncated integral equation for each row node.
 
     For row node s_a the unknowns are K_il(s_a, s_q) with q >= a; the dense
-    system (same matrix for every i) is solved by LU, then the columns with
-    b < a follow by direct evaluation of the right-hand side.
+    system (same matrix for every i) is solved through one inverse, which
+    also gives the condition number, then the columns with b < a follow by
+    direct evaluation of the right-hand side.
     """
     F = k.values
     n, _, m, _ = F.shape
@@ -257,25 +328,13 @@ def solve_integral_equation(k, decay_tol=DECAY_TOL, rows=None,
     K = np.full((n, n, m, m), np.nan, dtype=complex)
     conds = {}
     for a in rows:
-        q = m - a  # nodes in [s_a, s_max]
-        w = _row_weights(nodes, a)
-        # A[(j,b),(l,qq)] = delta_jl delta_bqq - w_qq F_lj(s_qq, s_b)
-        Fblk = F[:, :, a:, a:]  # (l, j, qq, b)
-        A = np.eye(n * q, dtype=complex)
-        A -= np.transpose(w[None, None, :, None] * Fblk,
-                          (1, 3, 0, 2)).reshape(n * q, n * q)
-        cond = float(abs(np.linalg.cond(A, 1)))
-        conds[a] = cond
-        if not np.isfinite(cond) or cond > cond_limit:
-            raise SingularOperator(a, cond)
-        rhs = F[:, :, a, a:].reshape(n, n * q).T  # columns: one per i
-        sol = np.linalg.solve(A, rhs)  # (n*q, n)
-        Krow = sol.T.reshape(n, n, q)  # K[i, l, qq]
+        Krow, _, conds[a] = _solve_row(F, nodes, a, cond_limit=cond_limit)
         K[:, :, a, a:] = Krow
         if a > 0:
             # K_ij(s_a, s_b) for b < a: direct evaluation
+            w = _row_weights(nodes, a)
             K[:, :, a, :a] = F[:, :, a, :a] + np.einsum(
-                "ilq,q,ljqb->ijb", Krow, w, F[:, :, a:, :a][:, :, :, :]
+                "ilq,q,ljqb->ijb", Krow, w, F[:, :, a:, :a]
             )
     return SolutionGrid(K, nodes, list(rows), conds)
 
@@ -305,26 +364,46 @@ def extract_beta(sol):
     return beta
 
 
-def dressing_rotation(p, s_index=0, decay_tol=DECAY_TOL, step=1e-3):
-    """Rotation coefficients beta_ij(u) at the grid node s_{s_index}.
+class _DressedRow:
+    """beta_ij(u) = K_ji(s_a, s_a; u) and its exact u-partials at row node a.
 
-    Each evaluation rebuilds the kernel at the shifted base point and
-    re-solves the single row; partial derivatives in u use fourth-order
-    central differences (handled by RotationCoeffs.from_callable).
+    Keeps only the potentials and the grid of the problem, so that the
+    rotation coefficients built on it hold little memory alive.
     """
 
-    def beta_at(u_point):
-        shifted = DressingProblem(
-            p.dim, p.Phi, u_point, p.s_min, p.s_max, p.m, p.f
-        )
-        k = build_kernel(shifted)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            sol = solve_integral_equation(
-                k, decay_tol=decay_tol, rows=[s_index]
-            )
-        return sol.values[:, :, s_index, s_index].T.copy()
+    __slots__ = ("Phi", "dim", "s_min", "s_max", "m", "a")
 
-    return RotationCoeffs.from_callable(
-        p.dim, beta_at, step=step, provenance="from-dressing"
-    )
+    def __init__(self, p, a):
+        self.Phi = p.Phi
+        self.dim = p.dim
+        self.s_min, self.s_max, self.m = p.s_min, p.s_max, p.m
+        self.a = a
+
+    def _solve(self, u, order):
+        if u.shape != (self.dim,):
+            raise ValueError("base point must have length dim")
+        nodes = np.linspace(self.s_min, self.s_max, self.m)
+        F, dF = _tabulate(self.Phi, u, nodes, order)
+        K, dK, _ = _solve_row(F, nodes, self.a, dF)
+        return K[:, :, 0].T.copy(), dK
+
+    def value(self, u):
+        return self._solve(u, 1)[0]
+
+    def jet(self, u):
+        B, dK = self._solve(u, 2)
+        return B, np.transpose(dK[:, :, :, 0], (0, 2, 1)).copy()
+
+
+def dressing_rotation(p, s_index=0):
+    """Rotation coefficients beta_ij(u) = K_ji(s_{s_index}, s_{s_index}; u).
+
+    value(u) tabulates the kernel at base point u and solves the single row.
+    The partials in u are exact: jet(u) tabulates the kernel together with
+    its u-partials (from the Hessians of the potentials) and differentiates
+    the discrete equation, (I - W F) dK = dF + W dF K, reusing the row's
+    inverse, so each point costs one kernel tabulation and one inverse.
+    The truncation-endpoint check of solve_integral_equation is not made.
+    """
+    row = _DressedRow(p, s_index)
+    return RotationCoeffs(p.dim, "from-dressing", row.value, row.jet)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from flatpencil import cli
 from flatpencil.cli import main, run_identities
 from flatpencil.lame import read_beta_grid
 
@@ -148,6 +149,30 @@ class TestLameAndTwoCompJobs:
         }
         path = write_manifest(tmp_path, payload)
         assert main(["run", path]) == 0
+
+
+class TestStrictJson:
+    def test_nonfinite_residuals_encoded(self, tmp_path, capsys,
+                                         monkeypatch):
+        def fake_job(job, manifest, seed, tol):
+            residuals = {"nan": float("nan"), "inf": np.float64(np.inf),
+                         "ninf": -np.inf, "z": complex(1.0, np.nan)}
+            return {"solved": True}, residuals, {}
+
+        monkeypatch.setattr(cli, "_run_dressing_job", fake_job)
+        payload = {"version": 1,
+                   "jobs": [{"kind": "dressing", "assert": {"solved": True}}]}
+        assert main(["run", write_manifest(tmp_path, payload)]) == 0
+
+        def reject(name):
+            raise ValueError(f"bare {name} in report")
+
+        line = capsys.readouterr().out.strip()
+        report = json.loads(line, parse_constant=reject)
+        assert report["max_residuals"] == {
+            "nan": "NaN", "inf": "Infinity", "ninf": "-Infinity",
+            "z": {"re": 1.0, "im": "NaN"},
+        }
 
 
 class TestDressingJob:

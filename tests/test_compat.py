@@ -6,6 +6,7 @@ import pytest
 
 from flatpencil import expr
 from flatpencil.compat import (
+    _Worst,
     MetricPair,
     associativity_residual,
     check_almost_compatible,
@@ -206,6 +207,26 @@ class TestAssociativity:
         eta = np.eye(2)
         phi = expr.parse("u1^3 + u2^4 + u1*u2", 2)
         assert associativity_residual(eta, phi, PTS) > 1e-3
+
+
+class TestWorstResidual:
+    def test_nonfinite_residual_wins_and_stays(self):
+        for bad in (float("nan"), float("inf")):
+            w = _Worst()
+            w.update("r", 1e-12, [0.0])
+            w.update("r", bad, [1.0])
+            w.update("r", 0.5, [2.0])
+            w.update("r", float("nan"), [3.0])
+            assert not w.res["r"] < 1e-8
+            assert not np.isfinite(w.res["r"])
+            assert w.wit["r"].tolist() == [1.0]
+
+    def test_merge_keeps_nonfinite(self):
+        a, b = _Worst(), _Worst()
+        a.update("r", float("nan"), [1.0])
+        b.update("r", 2.0, [2.0])
+        b.merge(a)
+        assert np.isnan(b.res["r"]) and b.wit["r"].tolist() == [1.0]
 
 
 class TestSampling:

@@ -70,6 +70,13 @@ class TestParsing:
         f = expr.parse("exp(u1*u2)", 2)
         assert "u1" in f.source_text
 
+    def test_repeated_text_shares_ast_not_field(self):
+        a = expr.parse("exp(u1*u2) + u2", 2)
+        b = expr.parse("exp(u1*u2) + u2", 2)
+        assert a is not b
+        assert a.ast is b.ast
+        assert expr.parse("exp(u1*u2) + u2", 3).ast is not a.ast
+
 
 class TestJets:
     def test_known_gradient_and_hessian(self):
@@ -117,6 +124,23 @@ class TestJets:
             expr.parse("1/u1", 1).eval_jet(np.array([0.0]), 0)
         with pytest.raises(DomainError):
             expr.parse("sqrt(u1)", 1).eval_jet(np.array([0.0]), 1)
+
+    def test_nonfinite_derivative_raises(self):
+        f = expr.parse("exp(u1^2)", 1)
+        assert np.isfinite(f.eval_jet([26.6], 0).value)
+        with pytest.raises(DomainError), np.errstate(over="ignore"):
+            f.eval_jet([26.6], 1)
+
+    def test_slots_above_order_not_stored(self):
+        f = expr.parse("exp(u1*u2)*sin(u1)/(1+u2^2) + sqrt(u1+u2)", 2)
+        pts = np.random.default_rng(1).uniform(0.3, 1.2, size=(64, 64, 2))
+        full = f.eval_jet(pts, 3)
+        for order in range(3):
+            jet = f.eval_jet(pts, order)
+            slots = (jet.value, jet.grad, jet.hess, jet.third)
+            assert all(s is None for s in slots[order + 1:])
+            for got, want in zip(slots[: order + 1], full.slots()):
+                assert np.array_equal(got, want)
 
     def test_negative_power_at_zero(self):
         with pytest.raises(DomainError):

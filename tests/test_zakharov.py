@@ -7,9 +7,11 @@ import pytest
 
 from flatpencil import expr
 from flatpencil.errors import SingularOperator, TruncationWarning
-from flatpencil.lame import lame_residuals
+from flatpencil.lame import RotationCoeffs, lame_residuals
 from flatpencil.zakharov import (
     DressingProblem,
+    _row_operator,
+    _tabulate,
     build_kernel,
     check_phi_pdes,
     check_reduction_relation,
@@ -31,6 +33,18 @@ def gaussian_problem(m=33, f=None, dim=2):
     }
     u = np.array([0.3, 0.4, 0.5])[:dim]
     return DressingProblem(dim, phi, u, 0.0, 1.0, m, f)
+
+
+def criterion7_problem(m=64, u=(0.3, 0.4)):
+    """Off-diagonal and both skew diagonal potentials."""
+    phi = {
+        (0, 1): expr.parse("0.05*exp(-40*((u1+0.2)^2 + (u2+0.3)^2))", 2),
+        (0, 0): expr.parse(
+            "0.05*(u1-u2)*exp(-30*((u1+0.25)^2 + (u2+0.25)^2))", 2),
+        (1, 1): expr.parse(
+            "0.04*(u1-u2)*exp(-30*((u1+0.35)^2 + (u2+0.35)^2))", 2),
+    }
+    return DressingProblem(2, phi, np.array(u), 0.0, 1.0, m)
 
 
 class TestProblemValidation:
@@ -145,6 +159,14 @@ class TestIntegralEquation:
         with pytest.warns(TruncationWarning):
             solve_integral_equation(k, rows=[0])
 
+    def test_condition_number_is_one_norm_cond(self):
+        k = build_kernel(criterion7_problem(m=33))
+        sol = solve_integral_equation(k, rows=[0, 7, 31])
+        for a in (0, 7, 31):
+            A, _ = _row_operator(k.values, k.nodes, a)
+            want = np.linalg.cond(A, 1)
+            assert abs(sol.cond[a] - want) <= 1e-10 * want
+
     def test_rows_subset_leaves_others_nan(self):
         k = build_kernel(gaussian_problem(m=17))
         sol = solve_integral_equation(k, rows=[3])
@@ -212,3 +234,25 @@ class TestDressingRotation:
             solve_integral_equation(build_kernel(p), rows=[0])
         )[:, :, 0]
         assert np.max(np.abs(b.value(p.u) - direct)) < 1e-14
+
+    def test_exact_partials_match_finite_differences(self):
+        for u in ((0.3, 0.4), (0.25, 0.45)):
+            p = criterion7_problem(m=64, u=u)
+            b = dressing_rotation(p)
+            fd = RotationCoeffs.from_callable(2, b.value)
+            value, deriv = b.jet(p.u)
+            assert np.array_equal(value, b.value(p.u))
+            assert np.max(np.abs(deriv)) > 1e-3
+            assert np.max(np.abs(deriv - fd.deriv(p.u))) <= 1e-7
+
+    def test_kernel_partials_match_central_differences(self):
+        p = criterion7_problem(m=17)
+        F, dF = _tabulate(p.Phi, p.u, p.nodes, 2)
+        assert np.array_equal(F, build_kernel(p).values)
+        h = 1e-5
+        for k in range(2):
+            e = np.zeros(2)
+            e[k] = h
+            fd = (_tabulate(p.Phi, p.u + e, p.nodes, 1)[0]
+                  - _tabulate(p.Phi, p.u - e, p.nodes, 1)[0]) / (2 * h)
+            assert np.max(np.abs(dF[k] - fd)) < 1e-6 * np.max(np.abs(dF[k]))
