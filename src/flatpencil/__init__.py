@@ -13,7 +13,6 @@ from .errors import (
     DomainError,
     FlatPencilError,
     ParseError,
-    RootFindingFailure,
     SingularOperator,
     TruncationWarning,
 )

@@ -18,14 +18,13 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .compat import (
     MetricPair,
-    check_almost_compatible,
+    _Worst,
     check_compatible,
     check_flat_pencil,
     default_lambda_samples,
@@ -34,7 +33,14 @@ from .compat import (
 )
 from .errors import DegenerateMetric, FlatPencilError
 from .expr import parse
-from .geometry import CONTRAVARIANT, MetricField, geometry_jet, affinor_at, nijenhuis
+from .geometry import (
+    CONTRAVARIANT,
+    MetricField,
+    affinor_from_jets,
+    geometry_jet,
+    nijenhuis,
+    tensor_M_from_jets,
+)
 from .lame import (
     LameData,
     lame_residuals,
@@ -147,7 +153,7 @@ def _dumps(report):
     return json.dumps(_jsonify(report), sort_keys=True, allow_nan=False)
 
 
-def _run_pair_job(job, manifest, seed, tol, map_fn):
+def _run_pair_job(job, manifest, seed, tol):
     dim = job.get("dim", manifest.get("dim"))
     expressions = manifest.get("expressions", {})
     metrics = manifest.get("metrics", {})
@@ -160,7 +166,7 @@ def _run_pair_job(job, manifest, seed, tol, map_fn):
     pair = MetricPair(g1, g2, pts, lambda_samples=_lambdas(job, seed),
                       tol=job.get("tol", tol))
     if job["kind"] == "flat-pencil":
-        rep = full_report(pair, map_fn)
+        rep = full_report(pair)
         verdicts = {
             "almost_compatible": rep.almost_compatible,
             "compatible": rep.compatible,
@@ -170,13 +176,14 @@ def _run_pair_job(job, manifest, seed, tol, map_fn):
         residuals = rep.max_residuals
         witnesses = rep.witnesses
     else:
-        almost = check_almost_compatible(pair, map_fn)
-        comp = check_compatible(pair, map_fn)
+        comp = check_compatible(pair)
+        residuals = comp.max_residuals
         verdicts = {
-            "almost_compatible": almost.passed,
+            "almost_compatible": all(
+                residuals[k] < pair.tol for k in ("nijenhuis", "M")
+            ),
             "compatible": comp.passed,
         }
-        residuals = comp.max_residuals
         witnesses = comp.witnesses
     return verdicts, residuals, witnesses
 
@@ -292,14 +299,8 @@ def identity_residuals(g1, g2, point):
     """
     j1 = geometry_jet(g1, point)
     j2 = geometry_jet(g2, point)
-    aff = affinor_at(g1, g2, point)
-    N = nijenhuis(aff)
-    M = (
-        np.einsum("is,jks->ijk", j1.g_up, j2.gamma_contra)
-        - np.einsum("js,iks->ijk", j2.g_up, j1.gamma_contra)
-        - np.einsum("js,iks->ijk", j1.g_up, j2.gamma_contra)
-        + np.einsum("is,jks->ijk", j2.g_up, j1.gamma_contra)
-    )
+    N = nijenhuis(affinor_from_jets(j1, j2))
+    M = tensor_M_from_jets(j1, j2)
     lhs = np.einsum(
         "sp,prq,ri,qj,sk->ijk", j1.g_down, N, j2.g_up, j2.g_up, j2.g_up
     )
@@ -340,7 +341,7 @@ def identity_residuals(g1, g2, point):
 def run_identities(trials, seed):
     """Random-pair identity sweep; deterministic report for a fixed seed."""
     rng = np.random.default_rng(seed)
-    worst = {}
+    worst = _Worst()
     checked = 0
     while checked < trials:
         dim = 2 if checked % 2 == 0 else 3
@@ -352,28 +353,26 @@ def run_identities(trials, seed):
         except DegenerateMetric:
             continue
         for k, v in res.items():
-            worst[k] = max(worst.get(k, 0.0), v)
+            worst.update(k, v, point)
         checked += 1
     return {
         "job": "identities",
         "tool_version": __version__,
         "trials": trials,
         "seed": seed,
-        "max_relative_residuals": {k: worst[k] for k in sorted(worst)},
-        "all_below_1e-8": bool(all(v < 1e-8 for v in worst.values())),
+        "max_relative_residuals": dict(sorted(worst.res.items())),
+        "all_below_1e-8": all(v < 1e-8 for v in worst.res.values()),
     }
 
 
 _PAIR_KINDS = {"pair-check", "flat-pencil"}
 
 
-def _run_job(idx, job, manifest, seed, tol, map_fn):
+def _run_job(idx, job, manifest, seed, tol):
     kind = job.get("kind")
     t0 = time.perf_counter()
     if kind in _PAIR_KINDS:
-        verdicts, residuals, witnesses = _run_pair_job(
-            job, manifest, seed, tol, map_fn
-        )
+        verdicts, residuals, witnesses = _run_pair_job(job, manifest, seed, tol)
     elif kind == "lame-check":
         verdicts, residuals, witnesses = _run_lame_job(job, manifest, seed, tol)
     elif kind == "two-component":
@@ -421,24 +420,16 @@ def _cmd_run(args):
         return 2
     jobs = manifest.get("jobs", [])
     out = open(args.out, "w") if args.out else sys.stdout
-    map_fn = map
-    pool = None
-    if args.parallel:
-        pool = ThreadPoolExecutor()
-        map_fn = pool.map
     all_ok = True
     try:
         for idx, job in enumerate(jobs):
-            report, ok = _run_job(idx, job, manifest, args.seed, args.tol,
-                                  map_fn)
+            report, ok = _run_job(idx, job, manifest, args.seed, args.tol)
             all_ok = all_ok and ok
             print(_dumps(report), file=out)
     except (ManifestError, KeyError, FlatPencilError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if pool is not None:
-            pool.shutdown()
         if args.out:
             out.close()
     return 0 if all_ok else 1
@@ -466,7 +457,8 @@ def main(argv=None):
     run_p.add_argument("manifest")
     run_p.add_argument("--out", default=None)
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--parallel", action="store_true")
+    run_p.add_argument("--parallel", action="store_true",
+                       help="accepted for compatibility; has no effect")
     run_p.add_argument("--tol", type=float, default=1e-8)
     run_p.set_defaults(func=_cmd_run)
 

@@ -29,11 +29,12 @@ from .geometry import (
     CONTRAVARIANT,
     DEGENERACY_TOL,
     MetricField,
-    affinor_at,
+    affinor_from_jets,
     geometry_jet,
     linear_combination,
     nijenhuis,
-    tensor_M,
+    roots_and_gap,
+    tensor_M_from_jets,
 )
 
 DEFAULT_TOL = 1e-8
@@ -146,125 +147,118 @@ class _Worst:
             self.update(name, v, other.wit[name])
 
 
-def _almost_at(pair, point):
+def _flatness_residual(j):
+    """Scale-relative size of the curvature R^{ij}_{kl} of one metric jet."""
+    scale = 1.0 + max(np.max(np.abs(j.g_up)), np.max(np.abs(j.gamma_contra)))
+    return np.max(np.abs(j.riemann_upup)) / scale
+
+
+_STAGES = ("almost", "compatible", "flat", "full")
+
+
+def _pass(pair, stage):
+    """One sweep over the sample points with everything `stage` needs.
+
+    At each point g1 and g2 get one geometry jet each; the affinor,
+    Nijenhuis and M tensors and the eigen-gap come from those two jets.
+    From "compatible" on, each sampled pencil member gets one jet, which
+    serves both linearity and flatness.  Returns the residuals and, for
+    "full", whether the pencil eigenvalues stay apart at every point.
+    """
+    depth = _STAGES.index(stage)
+    members = []
+    if depth >= 1:
+        members = [
+            (l1, l2, linear_combination(l1, pair.g1, l2, pair.g2))
+            for l1, l2 in pair.lambda_samples
+        ]
     w = _Worst()
-    j1 = geometry_jet(pair.g1, point)
-    j2 = geometry_jet(pair.g2, point)
-    scale = 1.0 + max(
-        np.max(np.abs(j1.g_up)), np.max(np.abs(j2.g_up)),
-        np.max(np.abs(j1.gamma_contra)), np.max(np.abs(j2.gamma_contra)),
-    )
-    aff = affinor_at(pair.g1, pair.g2, point)
-    N = nijenhuis(aff)
-    M = (
-        np.einsum("is,jks->ijk", j1.g_up, j2.gamma_contra)
-        - np.einsum("js,iks->ijk", j2.g_up, j1.gamma_contra)
-        - np.einsum("js,iks->ijk", j1.g_up, j2.gamma_contra)
-        + np.einsum("is,jks->ijk", j2.g_up, j1.gamma_contra)
-    )
-    w.update("nijenhuis", np.max(np.abs(N)) / scale, point)
-    w.update("M", np.max(np.abs(M)) / scale, point)
-    return w
-
-
-def check_almost_compatible(pair, map_fn=map):
-    """Vanishing of Nijenhuis and M tensors at every sample point."""
-    w = _Worst()
-    for part in map_fn(lambda p: _almost_at(pair, p), pair.sample_points):
-        w.merge(part)
-    passed = all(v < pair.tol for v in w.res.values())
-    return CheckResult(passed, w.res, w.wit)
-
-
-def _linearity_at(pair, point):
-    w = _Worst()
-    j1 = geometry_jet(pair.g1, point)
-    j2 = geometry_jet(pair.g2, point)
-    for l1, l2 in pair.lambda_samples:
-        comb = linear_combination(l1, pair.g1, l2, pair.g2)
-        try:
-            jc = geometry_jet(comb, point)
-        except DegenerateMetric as exc:
-            raise DegenerateMetric(
-                np.asarray(point), exc.absdet,
-                context=f"pencil member lambda=({l1}, {l2})",
-            ) from exc
-        target_g = l1 * j1.gamma_contra + l2 * j2.gamma_contra
-        target_r = l1 * j1.riemann_upup + l2 * j2.riemann_upup
-        sg = 1.0 + max(np.max(np.abs(jc.gamma_contra)),
-                       np.max(np.abs(target_g)))
-        sr = 1.0 + max(np.max(np.abs(jc.riemann_upup)),
-                       np.max(np.abs(target_r)))
-        w.update("gamma_linearity",
-                 np.max(np.abs(jc.gamma_contra - target_g)) / sg, point)
-        w.update("curvature_linearity",
-                 np.max(np.abs(jc.riemann_upup - target_r)) / sr, point)
-    return w
-
-
-def check_compatible(pair, map_fn=map):
-    """Linearity of Christoffel symbols and curvature across the pencil."""
-    almost = check_almost_compatible(pair, map_fn)
-    w = _Worst()
-    w.res.update(almost.max_residuals)
-    w.wit.update(almost.witnesses)
-    for part in map_fn(lambda p: _linearity_at(pair, p), pair.sample_points):
-        w.merge(part)
-    passed = (
-        almost.passed
-        and w.res["gamma_linearity"] < pair.tol
-        and w.res["curvature_linearity"] < pair.tol
-    )
-    return CheckResult(passed, w.res, w.wit)
-
-
-def _flatness_at(pair, point):
-    w = _Worst()
-    combos = [(1.0, 0.0), (0.0, 1.0)] + list(pair.lambda_samples)
-    for l1, l2 in combos:
-        comb = linear_combination(l1, pair.g1, l2, pair.g2)
-        jc = geometry_jet(comb, point)
-        scale = 1.0 + max(np.max(np.abs(jc.g_up)),
-                          np.max(np.abs(jc.gamma_contra)))
-        w.update(f"flatness({l1},{l2})",
-                 np.max(np.abs(jc.riemann_upup)) / scale, point)
-    return w
-
-
-def check_flat_pencil(pair, map_fn=map):
-    """Compatibility plus flatness of every sampled pencil member."""
-    comp = check_compatible(pair, map_fn)
-    w = _Worst()
-    w.res.update(comp.max_residuals)
-    w.wit.update(comp.witnesses)
-    for part in map_fn(lambda p: _flatness_at(pair, p), pair.sample_points):
-        w.merge(part)
-    flat = all(
-        v < pair.tol for k, v in w.res.items() if k.startswith("flatness")
-    )
-    return CheckResult(comp.passed and flat, w.res, w.wit)
-
-
-def full_report(pair, map_fn=map):
-    """Complete nested verdict (almost / compatible / flat pencil)."""
-    flat = check_flat_pencil(pair, map_fn)
-    res, wit = flat.max_residuals, flat.witnesses
-    almost = res["nijenhuis"] < pair.tol and res["M"] < pair.tol
-    compat = (almost and res["gamma_linearity"] < pair.tol
-              and res["curvature_linearity"] < pair.tol)
-    gaps = []
+    nonsingular = True
     for p in pair.sample_points:
-        from .geometry import pencil_eigenvalues
-        _, gap = pencil_eigenvalues(pair.g1, pair.g2, p)
-        gaps.append(gap)
-    nonsingular = bool(min(gaps) > 1e-6) if gaps else True
+        j1 = geometry_jet(pair.g1, p)
+        j2 = geometry_jet(pair.g2, p)
+        scale = 1.0 + max(
+            np.max(np.abs(j1.g_up)), np.max(np.abs(j2.g_up)),
+            np.max(np.abs(j1.gamma_contra)), np.max(np.abs(j2.gamma_contra)),
+        )
+        aff = affinor_from_jets(j1, j2)
+        w.update("nijenhuis", np.max(np.abs(nijenhuis(aff))) / scale, p)
+        w.update("M", np.max(np.abs(tensor_M_from_jets(j1, j2))) / scale, p)
+
+        jets = [((1.0, 0.0), j1), ((0.0, 1.0), j2)]
+        for l1, l2, comb in members:
+            try:
+                jc = geometry_jet(comb, p)
+            except DegenerateMetric as exc:
+                raise DegenerateMetric(
+                    np.asarray(p), exc.absdet,
+                    context=f"pencil member lambda=({l1}, {l2})",
+                ) from exc
+            jets.append(((l1, l2), jc))
+            target_g = l1 * j1.gamma_contra + l2 * j2.gamma_contra
+            target_r = l1 * j1.riemann_upup + l2 * j2.riemann_upup
+            sg = 1.0 + max(np.max(np.abs(jc.gamma_contra)),
+                           np.max(np.abs(target_g)))
+            sr = 1.0 + max(np.max(np.abs(jc.riemann_upup)),
+                           np.max(np.abs(target_r)))
+            w.update("gamma_linearity",
+                     np.max(np.abs(jc.gamma_contra - target_g)) / sg, p)
+            w.update("curvature_linearity",
+                     np.max(np.abs(jc.riemann_upup - target_r)) / sr, p)
+
+        if depth >= 2:
+            for (l1, l2), j in jets:
+                w.update(f"flatness({l1},{l2})", _flatness_residual(j), p)
+        if depth >= 3:
+            nonsingular = nonsingular and roots_and_gap(aff.v)[1] > 1e-6
+    return w, bool(nonsingular)
+
+
+_ALMOST = ("nijenhuis", "M")
+_LINEAR = ("gamma_linearity", "curvature_linearity")
+
+
+def _below(res, names, tol):
+    return all(res[k] < tol for k in names)
+
+
+def _flat(res, tol):
+    return all(v < tol for k, v in res.items() if k.startswith("flatness"))
+
+
+def check_almost_compatible(pair):
+    """Vanishing of Nijenhuis and M tensors at every sample point."""
+    w, _ = _pass(pair, "almost")
+    return CheckResult(_below(w.res, _ALMOST, pair.tol), w.res, w.wit)
+
+
+def check_compatible(pair):
+    """Linearity of Christoffel symbols and curvature across the pencil."""
+    w, _ = _pass(pair, "compatible")
+    passed = _below(w.res, _ALMOST + _LINEAR, pair.tol)
+    return CheckResult(passed, w.res, w.wit)
+
+
+def check_flat_pencil(pair):
+    """Compatibility plus flatness of every sampled pencil member."""
+    w, _ = _pass(pair, "flat")
+    passed = (_below(w.res, _ALMOST + _LINEAR, pair.tol)
+              and _flat(w.res, pair.tol))
+    return CheckResult(passed, w.res, w.wit)
+
+
+def full_report(pair):
+    """Complete nested verdict (almost / compatible / flat pencil)."""
+    w, nonsingular = _pass(pair, "full")
+    almost = _below(w.res, _ALMOST, pair.tol)
+    compat = almost and _below(w.res, _LINEAR, pair.tol)
     return CompatReport(
         almost_compatible=almost,
         compatible=compat,
-        flat_pencil=flat.passed,
+        flat_pencil=compat and _flat(w.res, pair.tol),
         nonsingular=nonsingular,
-        max_residuals=res,
-        witnesses=wit,
+        max_residuals=w.res,
+        witnesses=w.wit,
     )
 
 
@@ -386,12 +380,13 @@ def mokhov_bracket_metric(eta, h, points, tol=DEFAULT_TOL):
 
     # Connection-level check only: the pencil member lambda1*eta + lambda2*g2
     # must have Christoffel symbols -lambda2 * b (eta contributes none).
+    members = [(l2, linear_combination(l1, g1, l2, g2))
+               for l1, l2 in [(1.0, 0.5), (1.0, -0.5), (2.0, 0.25)]]
     w = _Worst()
     for p in pts:
         b = b_at(p)
         used = 0
-        for l1, l2 in [(1.0, 0.5), (1.0, -0.5), (2.0, 0.25)]:
-            comb = linear_combination(l1, g1, l2, g2)
+        for l2, comb in members:
             try:
                 jc = geometry_jet(comb, p)
             except DegenerateMetric:

@@ -36,10 +36,6 @@ class DegenerateMetric(FlatPencilError):
         self.absdet = absdet
 
 
-class RootFindingFailure(FlatPencilError):
-    """Simultaneous root iteration failed to converge."""
-
-
 class SingularOperator(FlatPencilError):
     """Discretized integral operator is numerically singular."""
 

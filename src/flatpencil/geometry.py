@@ -13,7 +13,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import DegenerateMetric, RootFindingFailure
+from .errors import DegenerateMetric
 from .expr import ScalarField, constant
 
 DEGENERACY_TOL = 1e-10
@@ -228,16 +228,20 @@ def geometry_jet(g, point, degeneracy_tol=DEGENERACY_TOL):
     )
 
 
+def affinor_from_jets(j1, j2):
+    """v^i_j = g1^{is} g_{2,sj} and its first partials, from the two jets."""
+    v = j1.g_up @ j2.g_down
+    dv = np.einsum("sip,pj->sij", j1.dg_up, j2.g_down) + np.einsum(
+        "ip,spj->sij", j1.g_up, j2.dg_down
+    )
+    return Affinor(v=v, dv=dv)
+
+
 def affinor_at(g1, g2, point, degeneracy_tol=DEGENERACY_TOL):
     """v^i_j = g1^{is} g_{2,sj} and its first partials at a point."""
     pt = np.asarray(point, dtype=complex)
-    up1, dup1, _, _, _, _ = _both_variances(g1, pt, 1, degeneracy_tol)
-    _, _, _, down2, ddown2, _ = _both_variances(g2, pt, 1, degeneracy_tol)
-    v = up1 @ down2
-    dv = np.einsum("sip,pj->sij", dup1, down2) + np.einsum(
-        "ip,spj->sij", up1, ddown2
-    )
-    return Affinor(v=v, dv=dv)
+    return affinor_from_jets(geometry_jet(g1, pt, degeneracy_tol),
+                             geometry_jet(g2, pt, degeneracy_tol))
 
 
 def nijenhuis(a):
@@ -250,15 +254,12 @@ def nijenhuis(a):
     return n1 + n3
 
 
-def tensor_M(g1, g2, point, degeneracy_tol=DEGENERACY_TOL):
-    """Obstruction tensor M^{ijk} built from both contravariant connections.
+def tensor_M_from_jets(j1, j2):
+    """Obstruction tensor M^{ijk} from both metrics' jets.
 
     Vanishes exactly when the pair is almost compatible; antisymmetric in
     (i, j) by construction.
     """
-    pt = np.asarray(point, dtype=complex)
-    j1 = geometry_jet(g1, pt, degeneracy_tol)
-    j2 = geometry_jet(g2, pt, degeneracy_tol)
     up1, up2 = j1.g_up, j2.g_up
     gc1, gc2 = j1.gamma_contra, j2.gamma_contra
     return (
@@ -269,63 +270,34 @@ def tensor_M(g1, g2, point, degeneracy_tol=DEGENERACY_TOL):
     )
 
 
-def _faddeev_leverrier(A):
-    """Monic characteristic polynomial coefficients via the trace recursion."""
-    n = A.shape[0]
-    c = np.zeros(n + 1, dtype=complex)
-    c[0] = 1.0
-    M = np.zeros_like(A)
-    for k in range(1, n + 1):
-        M = A @ M + c[k - 1] * np.eye(n, dtype=complex)
-        c[k] = -np.trace(A @ M) / k
-    return c  # p(x) = sum c[k] x^{n-k}
-
-
-def durand_kerner(coeffs, max_iters=500, tol=1e-13):
-    """All roots of a monic polynomial by simultaneous iteration."""
-    c = np.asarray(coeffs, dtype=complex)
-    n = len(c) - 1
-    if n == 0:
-        return np.array([], dtype=complex)
-    radius = 1.0 + float(np.max(np.abs(c[1:])))
-    base = 0.4 + 0.9j
-    z = radius * base ** np.arange(1, n + 1)
-    for _ in range(max_iters):
-        p = np.polyval(c, z)
-        denom = np.ones_like(z)
-        for i in range(n):
-            others = np.delete(z, i)
-            denom[i] = np.prod(z[i] - others)
-        if np.any(denom == 0):
-            z = z + 1e-8 * radius * base ** np.arange(1, n + 1)
-            continue
-        step = p / denom
-        z = z - step
-        if np.max(np.abs(step)) < tol * max(1.0, np.max(np.abs(z))):
-            return z
-    raise RootFindingFailure(
-        f"Durand-Kerner did not converge in {max_iters} iterations"
-    )
-
-
-def pencil_eigenvalues(g1, g2, point, degeneracy_tol=DEGENERACY_TOL,
-                       max_iters=500):
-    """Roots of det(g1 - lambda g2) = 0, sorted by (Re, Im), plus min gap."""
+def tensor_M(g1, g2, point, degeneracy_tol=DEGENERACY_TOL):
+    """Obstruction tensor M^{ijk} built from both contravariant connections."""
     pt = np.asarray(point, dtype=complex)
-    up1 = g1.values(pt) if g1.variance == CONTRAVARIANT else None
-    if up1 is None:
+    return tensor_M_from_jets(geometry_jet(g1, pt, degeneracy_tol),
+                              geometry_jet(g2, pt, degeneracy_tol))
+
+
+def roots_and_gap(v):
+    """Eigenvalues of an affinor sorted by (Re, Im), plus their min gap.
+
+    Real parts that agree to rounding count as equal, so a conjugate pair
+    is ordered by its imaginary parts.
+    """
+    roots = np.linalg.eigvals(v)
+    roots = roots[np.argsort(roots.real, kind="stable")]
+    scale = max(1.0, float(np.max(np.abs(roots), initial=0.0)))
+    tie = np.diff(roots.real) <= 1e-12 * scale
+    group = np.concatenate(([0], np.cumsum(~tie)))
+    roots = roots[np.lexsort((roots.imag, group))]
+    dist = np.abs(roots[:, None] - roots[None, :])
+    return roots, np.min(dist[np.triu_indices(len(roots), 1)], initial=np.inf)
+
+
+def pencil_eigenvalues(g1, g2, point, degeneracy_tol=DEGENERACY_TOL):
+    """Roots of det(g1 - lambda g2) = 0, sorted by (Re, Im), plus min gap."""
+    if g1.variance != CONTRAVARIANT:
         raise ValueError("pencil eigenvalues expect contravariant metrics")
-    aff = affinor_at(g1, g2, pt, degeneracy_tol)
-    coeffs = _faddeev_leverrier(aff.v)
-    roots = durand_kerner(coeffs, max_iters=max_iters)
-    order = np.lexsort((roots.imag, roots.real))
-    roots = roots[order]
-    n = len(roots)
-    if n < 2:
-        gap = np.inf
-    else:
-        diffs = [
-            abs(roots[i] - roots[j]) for i in range(n) for j in range(i + 1, n)
-        ]
-        gap = min(diffs)
-    return roots, gap
+    pt = np.asarray(point, dtype=complex)
+    up1 = _both_variances(g1, pt, 0, degeneracy_tol)[0]
+    down2 = _both_variances(g2, pt, 0, degeneracy_tol)[3]
+    return roots_and_gap(up1 @ down2)

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compat import CheckResult, _Worst, check_constant_curvature
+from .compat import (
+    CheckResult,
+    _flatness_residual,
+    _Worst,
+    check_constant_curvature,
+)
 from .errors import DomainError
 from .expr import ScalarField, constant, embed, exp, parse
 from .geometry import CONTRAVARIANT, MetricField, geometry_jet
@@ -109,11 +114,8 @@ def constant_curvature_pencil(K, points, tol=1e-8):
     w = _Worst()
     for n in range(3):
         for p in pts:
-            j = geometry_jet(metrics[n], p)
-            scale = 1.0 + max(np.max(np.abs(j.g_up)),
-                              np.max(np.abs(j.gamma_contra)))
             w.update(f"flatness_G{n}",
-                     np.max(np.abs(j.riemann_upup)) / scale, p)
+                     _flatness_residual(geometry_jet(metrics[n], p)), p)
     cc = check_constant_curvature(metrics[3], K, pts, tol)
     w.update("curvature_G3", cc.max_residuals["constant_curvature"],
              cc.witnesses["constant_curvature"])

@@ -226,3 +226,17 @@ class TestIdentities:
         }
         path = write_manifest(tmp_path, payload)
         assert main(["run", path]) == 0
+
+    def test_nonfinite_residual_fails_closed(self, tmp_path, monkeypatch):
+        real = cli.identity_residuals
+
+        def nan_mn1(g1, g2, point):
+            return {**real(g1, g2, point), "mn1": float("nan")}
+
+        monkeypatch.setattr(cli, "identity_residuals", nan_mn1)
+        out = tmp_path / "id.json"
+        assert main(["identities", "--trials", "3", "--seed", "4",
+                     "--out", str(out)]) == 1
+        rep = json.loads(out.read_text())
+        assert rep["max_relative_residuals"]["mn1"] == "NaN"
+        assert rep["all_below_1e-8"] is False

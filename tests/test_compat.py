@@ -4,7 +4,7 @@ flat-coordinate constructions."""
 import numpy as np
 import pytest
 
-from flatpencil import expr
+from flatpencil import compat, expr
 from flatpencil.compat import (
     _Worst,
     MetricPair,
@@ -20,7 +20,7 @@ from flatpencil.compat import (
     sample_points,
 )
 from flatpencil.errors import DegenerateMetric
-from flatpencil.geometry import CONTRAVARIANT, MetricField
+from flatpencil.geometry import CONTRAVARIANT, MetricField, geometry_jet
 
 PTS = sample_points(2, 8, seed=11, lo=0.3, hi=1.8)
 EYE2 = MetricField.from_constant(np.eye(2))
@@ -116,6 +116,30 @@ class TestFlatPencil:
         assert not rep.flat_pencil
         # equal eigenvalues everywhere: singular pair
         assert not rep.nonsingular
+
+
+class TestSinglePass:
+    def test_full_report_one_jet_per_metric_and_member(self, monkeypatch):
+        calls = []
+
+        def counting(g, point, *args):
+            calls.append(g)
+            return geometry_jet(g, point, *args)
+
+        monkeypatch.setattr(compat, "geometry_jet", counting)
+        g1 = MetricField.diagonal([expr.parse("u1", 2), expr.parse("u2", 2)])
+        pair = MetricPair(g1, EYE2, PTS)
+        full_report(pair)
+        assert len(calls) == len(PTS) * (2 + len(pair.lambda_samples))
+
+    def test_members_evaluated_only_from_compatible_on(self):
+        # g1 + g2 = 0 is the degenerate member lambda = (1, 1)
+        g2 = MetricField.from_constant(-np.eye(2))
+        pair = MetricPair(EYE2, g2, PTS)
+        assert check_almost_compatible(pair).passed
+        with pytest.raises(DegenerateMetric,
+                           match=r"pencil member lambda=\(1\.0, 1\.0\)"):
+            check_compatible(pair)
 
 
 class TestConstantCurvature:
