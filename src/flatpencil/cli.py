@@ -202,7 +202,7 @@ def _run_lame_job(job, manifest, seed, tol):
     pair = MetricPair(g1, g2, pts, lambda_samples=_lambdas(job, seed),
                       tol=job.get("tol", tol))
     flat = check_flat_pencil(pair)
-    residual_side = max(r1, r2, r3) < pair.tol
+    residual_side = all(r < pair.tol for r in (r1, r2, r3))
     verdicts = {
         "flat_pencil": flat.passed,
         "residuals_vanish": bool(residual_side),
@@ -233,7 +233,7 @@ def _run_twocomp_job(job, manifest, seed, tol):
     pair = MetricPair(g1, g2, pts, lambda_samples=_lambdas(job, seed),
                       tol=job_tol)
     flat = check_flat_pencil(pair)
-    residual_side = max(rs, rl) < job_tol
+    residual_side = all(r < job_tol for r in (rs, rl))
     verdicts = {
         "flat_pencil": flat.passed,
         "residuals_vanish": bool(residual_side),

@@ -135,16 +135,27 @@ class _Worst:
         self.wit = {}
 
     def update(self, name, value, point):
-        """Keep the larger residual; a non-finite one wins and then stays."""
-        v = float(value)
+        """Keep the larger residual; a non-finite one wins and then stays.
+
+        `value` may also hold one residual per row of the point batch
+        `point`: its first non-finite entry stands for the batch, otherwise
+        its first largest one, exactly as if the rows came one at a time.
+        """
+        v = np.asarray(value, dtype=float)
+        if v.ndim:
+            bad = ~np.isfinite(v)
+            k = int(np.argmax(bad if bad.any() else v))
+            v, point = v[k], np.asarray(point)[k]
+        v = float(v)
         old = self.res.get(name)
         if old is None or (math.isfinite(old) and not v <= old):
             self.res[name] = v
             self.wit[name] = np.asarray(point)
 
-    def merge(self, other):
-        for name, v in other.res.items():
-            self.update(name, v, other.wit[name])
+
+def _abs_max(a):
+    """max |a| over all axes but the leading point axis; NaN propagates."""
+    return np.abs(a).reshape(len(a), -1).max(axis=1)
 
 
 def _flatness_residual(j):
@@ -314,18 +325,17 @@ def dubrovin_construct_and_check(eta, f, c, points, tol=DEFAULT_TOL,
     g1 = MetricField.from_upper(upper, CONTRAVARIANT)
     g2 = MetricField.from_constant(eta_up, CONTRAVARIANT)
 
+    H = np.stack([fk.eval_jet(pts, 2).hess for fk in f], axis=1)  # [P,k,s,p]
+    D = np.einsum("is,...jks->...ijk", eta_up, H)  # Delta^{ij}_k
+    quad = (np.einsum("...ijs,...skl->...ijkl", D, D)
+            - np.einsum("...iks,...sjl->...ijkl", D, D))
+    G1 = g1.values(pts)
+    mixed = (np.einsum("...is,jp,...ksp->...ijk", G1, eta_up, H)
+             - np.einsum("is,...jp,...ksp->...ijk", eta_up, G1, H))
+    scale = 1.0 + np.maximum(_abs_max(D) ** 2, _abs_max(G1))
     w = _Worst()
-    for p in pts:
-        H = np.array([f[k].eval_jet(p, 2).hess for k in range(n)])  # [k,s,p]
-        D = np.einsum("is,jks->ijk", eta_up, H)  # Delta^{ij}_k
-        quad = (np.einsum("ijs,skl->ijkl", D, D)
-                - np.einsum("iks,sjl->ijkl", D, D))
-        G1 = g1.values(p)
-        mixed = (np.einsum("is,jp,ksp->ijk", G1, eta_up, H)
-                 - np.einsum("is,jp,ksp->ijk", eta_up, G1, H))
-        scale = 1.0 + max(np.max(np.abs(D)) ** 2, np.max(np.abs(G1)))
-        w.update("quadratic", np.max(np.abs(quad)) / scale, p)
-        w.update("mixed", np.max(np.abs(mixed)) / scale, p)
+    w.update("quadratic", _abs_max(quad) / scale, pts)
+    w.update("mixed", _abs_max(mixed) / scale, pts)
 
     pair = MetricPair(g1, g2, pts, tol=tol)
     if lambda_samples is not None:
@@ -365,15 +375,11 @@ def mokhov_bracket_metric(eta, h, points, tol=DEFAULT_TOL):
     g1 = MetricField.from_constant(eta_up, CONTRAVARIANT)
 
     def b_at(point):
-        H = np.array([h[k].eval_jet(point, 2).hess for k in range(n)])
-        return np.einsum("is,jks->ijk", eta_up, H)  # b^{ij}_k
+        """b^{ij}_k at one point (n,) or a batch (..., n)."""
+        H = np.stack([hk.eval_jet(point, 2).hess for hk in h], axis=-3)
+        return np.einsum("is,...jks->...ijk", eta_up, H)
 
-    degenerate = False
-    for p in pts:
-        if abs(np.linalg.det(g2.values(p))) < DEGENERACY_TOL:
-            degenerate = True
-            break
-
+    degenerate = np.any(np.abs(np.linalg.det(g2.values(pts))) < DEGENERACY_TOL)
     if not degenerate:
         pair = MetricPair(g1, g2, pts, tol=tol)
         return g2, b_at, check_compatible(pair)
@@ -383,8 +389,7 @@ def mokhov_bracket_metric(eta, h, points, tol=DEFAULT_TOL):
     members = [(l2, linear_combination(l1, g1, l2, g2))
                for l1, l2 in [(1.0, 0.5), (1.0, -0.5), (2.0, 0.25)]]
     w = _Worst()
-    for p in pts:
-        b = b_at(p)
+    for p, b in zip(pts, b_at(pts)):
         used = 0
         for l2, comb in members:
             try:
@@ -407,11 +412,8 @@ def associativity_residual(eta, Phi, points):
     """
     eta = _check_eta(eta)
     eta_up = np.linalg.inv(eta)
-    worst = 0.0
-    for p in np.atleast_2d(np.asarray(points)):
-        jet = Phi.eval_jet(p, 3)
-        lhs = np.einsum("sp,pi,sjk->ijk", eta_up, jet.hess, jet.third)
-        res = lhs - np.einsum("ijk->kji", lhs)
-        scale = 1.0 + np.max(np.abs(jet.hess)) * np.max(np.abs(jet.third))
-        worst = max(worst, float(np.max(np.abs(res))) / scale)
-    return worst
+    jet = Phi.eval_jet(np.atleast_2d(np.asarray(points)), 3)
+    lhs = np.einsum("sp,...pi,...sjk->...ijk", eta_up, jet.hess, jet.third)
+    res = lhs - np.einsum("...ijk->...kji", lhs)
+    scale = 1.0 + _abs_max(jet.hess) * _abs_max(jet.third)
+    return float(np.max(_abs_max(res) / scale))

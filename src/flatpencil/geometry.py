@@ -80,11 +80,13 @@ class MetricField:
         return MetricField.from_upper(upper, variance)
 
     def values(self, point):
+        """Entry matrix at one point (n,) or at a batch (..., n) of points,
+        with shape (..., n, n)."""
         pt = np.asarray(point, dtype=complex)
-        out = np.empty((self.dim, self.dim), dtype=complex)
+        out = np.empty(pt.shape[:-1] + (self.dim, self.dim), dtype=complex)
         for i in range(self.dim):
             for j in range(i, self.dim):
-                out[i, j] = out[j, i] = self.entries[i][j](pt)
+                out[..., i, j] = out[..., j, i] = self.entries[i][j](pt)
         return out
 
 

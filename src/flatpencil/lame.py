@@ -18,7 +18,7 @@ import numpy as np
 from .expr import ScalarField, constant, embed, sqrt
 from .geometry import CONTRAVARIANT, MetricField
 
-FD_STEP = 1e-3
+FD_STEP = 1e-3  # step of the finite-difference reference route only
 
 
 @dataclass
@@ -89,7 +89,12 @@ class RotationCoeffs:
 
     @staticmethod
     def from_callable(dim, fn, step=FD_STEP, provenance="from-dressing"):
-        """fn(u) -> (N, N) beta matrix; partials by 4th-order differences."""
+        """fn(u) -> (N, N) beta matrix; partials by 4th-order differences.
+
+        A reference route only: the library's own sources (fields and
+        dressing) give exact partials, and tests check those against this
+        finite-difference route.
+        """
 
         def jet(point):
             out = np.zeros((dim, dim, dim), dtype=complex)
@@ -117,6 +122,19 @@ def rotation_from_H(d):
     return RotationCoeffs.from_fields(beta, provenance="from-H")
 
 
+def _stacked_jets(b, points):
+    """Points (P, N) and the stacked jets B (P, N, N), D (P, N, N, N)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    B, D = zip(*(b.jet(p) for p in pts))
+    return pts, np.array(B), np.array(D)
+
+
+def _outside(n):
+    """Mask [s, i, j]: the index s differs from both i and j."""
+    s = np.arange(n)
+    return (s[:, None, None] != s[:, None]) & (s[:, None, None] != s)
+
+
 def lame_residuals(b, points):
     """(res_system, res_divergence): the two orthogonal-system equation sets.
 
@@ -125,31 +143,17 @@ def lame_residuals(b, points):
     + d beta_ji / du^j + sum_{s != i,j} beta_si beta_sj = 0 for i != j.
     """
     n = b.dim
-    res1 = 0.0
-    res2 = 0.0
-    for p in np.atleast_2d(np.asarray(points)):
-        B, D = b.jet(p)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                for k in range(n):
-                    if k != i and k != j:
-                        res1 = max(res1, abs(D[k, i, j] - B[i, k] * B[k, j]))
-                acc = D[i, i, j] + D[j, j, i]
-                for s in range(n):
-                    if s != i and s != j:
-                        acc += B[s, i] * B[s, j]
-                res2 = max(res2, abs(acc))
-    return res1, res2
-
-
-def _f_values(f, point):
-    vals = np.array([fi(np.array([x])) for fi, x in zip(f, point)])
-    ders = np.array(
-        [fi.partial(0)(np.array([x])) for fi, x in zip(f, point)]
-    )
-    return vals, ders
+    _, B, D = _stacked_jets(b, points)
+    outside = _outside(n)
+    off = ~np.eye(n, dtype=bool)
+    # [p, k, i, j]: d beta_ij / du^k - beta_ik beta_kj
+    system = D - np.swapaxes(B, 1, 2)[..., None] * B[:, :, None, :]
+    dD = np.einsum("piij->pij", D)  # d beta_ij / du^i
+    acc = dD + np.swapaxes(dD, 1, 2)
+    for s, keep in enumerate(outside):
+        acc += np.where(keep, B[:, s, :, None] * B[:, s, None, :], 0)
+    return (float(np.max(np.abs(system[:, outside & off]), initial=0.0)),
+            float(np.max(np.abs(acc[:, off]), initial=0.0)))
 
 
 def reduction_residual(b, f, points):
@@ -159,21 +163,19 @@ def reduction_residual(b, f, points):
     + sum_{s != i,j} f^s b_si b_sj = 0.
     """
     n = b.dim
-    worst = 0.0
-    for p in np.atleast_2d(np.asarray(points)):
-        B, D = b.jet(p)
-        fv, fd = _f_values(f, p)
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc = (
-                    fv[i] * D[i, i, j] + 0.5 * fd[i] * B[i, j]
-                    + fv[j] * D[j, j, i] + 0.5 * fd[j] * B[j, i]
-                )
-                for s in range(n):
-                    if s != i and s != j:
-                        acc += fv[s] * B[s, i] * B[s, j]
-                worst = max(worst, abs(acc))
-    return worst
+    pts, B, D = _stacked_jets(b, points)
+    jets = [fi.eval_jet(pts[:, i:i + 1], 1) for i, fi in enumerate(f)]
+    fv = np.stack([j.value for j in jets], axis=-1)  # (P, N)
+    half_fd = 0.5 * np.stack([j.grad[:, 0] for j in jets], axis=-1)
+    # the i-terms at [p, i, j]; their transposes are the j-terms
+    x = fv[:, :, None] * np.einsum("piij->pij", D)
+    y = half_fd[:, :, None] * B
+    acc = x + y + np.swapaxes(x, 1, 2) + np.swapaxes(y, 1, 2)
+    for s, keep in enumerate(_outside(n)):
+        acc += np.where(keep, fv[:, s, None, None] * B[:, s, :, None]
+                        * B[:, s, None, :], 0)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    return float(np.max(np.abs(acc[:, upper]), initial=0.0))
 
 
 def scaled_rotation(b, f):

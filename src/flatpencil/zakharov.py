@@ -181,7 +181,7 @@ def check_reduction_relation(k, samples=None, step=1e-4):
         # dF_ji(s', s)/ds differentiates the second slot of F_ji at (s_b, s_a)
         res = d_sp + np.einsum("ijab->jiba", d_sp)
         interior = res[:, :, 1:-1, 1:-1]
-        return float(np.max(np.abs(interior))) if interior.size else 0.0
+        return float(np.max(np.abs(interior), initial=0.0))
 
     if samples is None:
         rng = np.random.default_rng(0)
@@ -191,12 +191,12 @@ def check_reduction_relation(k, samples=None, step=1e-4):
         return (-fn(x + 2 * step) + 8 * fn(x + step)
                 - 8 * fn(x - step) + fn(x - 2 * step)) / (12 * step)
 
-    worst = 0.0
-    for s, sp in np.atleast_2d(np.asarray(samples)):
-        dsp = d4(lambda y: np.asarray(k(s, y)), sp)
-        ds = d4(lambda x: np.asarray(k(sp, x)).T, s)
-        worst = max(worst, float(np.max(np.abs(dsp + ds))))
-    return worst
+    res = [
+        np.max(np.abs(d4(lambda y: np.asarray(k(s, y)), sp)
+                      + d4(lambda x: np.asarray(k(sp, x)).T, s)))
+        for s, sp in np.atleast_2d(np.asarray(samples))
+    ]
+    return float(np.max(res, initial=0.0))
 
 
 def check_phi_pdes(p, samples):
@@ -211,28 +211,24 @@ def check_phi_pdes(p, samples):
     """
     if p.f is None:
         raise ValueError("problem carries no eigenvalue functions")
-    res_off = 0.0
-    res_diag = 0.0
-    for s, sp in np.atleast_2d(np.asarray(samples)):
-        fv = []
-        fd = []
-        for i in range(p.dim):
-            a = p.f[i].eval_jet(np.array([p.u[i] - s]), 1)
-            b = p.f[i].eval_jet(np.array([p.u[i] - sp]), 1)
-            fv.append((a.value, b.value))
-            fd.append((a.grad[0], b.grad[0]))
-        for (i, j), phi in p.Phi.items():
-            if i == j:
-                jet = phi.eval_jet(np.array([s - p.u[i], sp - p.u[i]]), 2)
-                r = (2 * jet.hess[0, 1] * (fv[i][0] - fv[i][1])
-                     + jet.grad[0] * fd[i][1] - jet.grad[1] * fd[i][0])
-                res_diag = max(res_diag, abs(r))
-            else:
-                jet = phi.eval_jet(np.array([s - p.u[i], sp - p.u[j]]), 2)
-                r = (2 * jet.hess[0, 1] * (fv[i][0] - fv[j][1])
-                     - jet.grad[1] * fd[i][0] + jet.grad[0] * fd[j][1])
-                res_off = max(res_off, abs(r))
-    return res_off, res_diag
+    s, sp = np.atleast_2d(np.asarray(samples, dtype=float)).T
+    fv, fd = [], []  # per axis: f^i and f^i' at (u^i - s, u^i - s')
+    for i, fi in enumerate(p.f):
+        args = np.stack([p.u[i] - s, p.u[i] - sp], -1)[..., None]  # (S, 2, 1)
+        jet = fi.eval_jet(args, 1)
+        fv.append(jet.value.T)
+        fd.append(jet.grad[..., 0].T)
+    res = ([], [])  # off-diagonal, diagonal
+    for (i, j), phi in p.Phi.items():
+        jet = phi.eval_jet(np.stack([s - p.u[i], sp - p.u[j]], -1), 2)
+        if i == j:
+            r = (2 * jet.hess[:, 0, 1] * (fv[i][0] - fv[i][1])
+                 + jet.grad[:, 0] * fd[i][1] - jet.grad[:, 1] * fd[i][0])
+        else:
+            r = (2 * jet.hess[:, 0, 1] * (fv[i][0] - fv[j][1])
+                 - jet.grad[:, 1] * fd[i][0] + jet.grad[:, 0] * fd[j][1])
+        res[i == j].append(np.abs(r))
+    return tuple(float(np.max(r, initial=0.0)) for r in res)
 
 
 @dataclass

@@ -151,6 +151,49 @@ class TestLameAndTwoCompJobs:
         assert main(["run", path]) == 0
 
 
+class TestResidualSideFailsClosed:
+    def run_job(self, tmp_path, capsys, job):
+        payload = {"version": 1, "dim": 2, "jobs": [job]}
+        code = main(["run", write_manifest(tmp_path, payload)])
+        return code, json.loads(capsys.readouterr().out.strip())
+
+    def test_lame_nan_divergence(self, tmp_path, capsys, monkeypatch):
+        real = cli.lame_residuals
+        monkeypatch.setattr(
+            cli, "lame_residuals",
+            lambda b, pts: (real(b, pts)[0], float("nan")),
+        )
+        code, report = self.run_job(tmp_path, capsys, {
+            "kind": "lame-check", "H": ["exp(u1)", "1+u2^2"],
+            "f": ["u1", "u1"],
+            "assert": {"flat_pencil": True, "equivalence": True},
+        })
+        assert code == 1
+        assert report["max_residuals"]["lam_divergence"] == "NaN"
+        assert report["verdicts"]["residuals_vanish"] is False
+        assert report["verdicts"]["equivalence"] is False
+
+    def test_twocomp_nan_lequa(self, tmp_path, capsys, monkeypatch):
+        real = cli.check_lequa
+
+        def nan_lequa(m, pts):
+            r = real(m, pts)
+            r.max_residuals["lequa"] = float("nan")
+            return r
+
+        monkeypatch.setattr(cli, "check_lequa", nan_lequa)
+        code, report = self.run_job(tmp_path, capsys, {
+            "kind": "two-component", "b1": "sqrt(u1-u2)",
+            "b2": "sqrt(u1-u2)", "F": "0.5*ln(u1-u2)", "eps": [-1, 1],
+            "f1": "u1", "f2": "u1", "sampling": {"min_sep": 0.3},
+            "assert": {"flat_pencil": True, "equivalence": True},
+        })
+        assert code == 1
+        assert report["max_residuals"]["lequa"] == "NaN"
+        assert report["verdicts"]["residuals_vanish"] is False
+        assert report["verdicts"]["equivalence"] is False
+
+
 class TestStrictJson:
     def test_nonfinite_residuals_encoded(self, tmp_path, capsys,
                                          monkeypatch):

@@ -245,12 +245,24 @@ class TestWorstResidual:
             assert not np.isfinite(w.res["r"])
             assert w.wit["r"].tolist() == [1.0]
 
-    def test_merge_keeps_nonfinite(self):
-        a, b = _Worst(), _Worst()
-        a.update("r", float("nan"), [1.0])
-        b.update("r", 2.0, [2.0])
-        b.merge(a)
-        assert np.isnan(b.res["r"]) and b.wit["r"].tolist() == [1.0]
+    def test_batch_nonfinite_row_wins_and_stays(self):
+        pts = np.arange(10.0).reshape(5, 2)
+        w = _Worst()
+        w.update("r", [0.1, 3.0, np.nan, np.inf, 0.2], pts)
+        assert np.isnan(w.res["r"]) and w.wit["r"].tolist() == [4.0, 5.0]
+        w.update("r", [5.0, np.inf], pts[:2])
+        w.update("r", 7.0, [9.0, 9.0])
+        assert np.isnan(w.res["r"]) and w.wit["r"].tolist() == [4.0, 5.0]
+
+    def test_batch_ties_keep_first_row(self):
+        pts = np.arange(8.0).reshape(4, 2)
+        w = _Worst()
+        w.update("r", [0.5, 2.0, 1.0, 2.0], pts)
+        assert w.res["r"] == 2.0 and w.wit["r"].tolist() == [2.0, 3.0]
+        w.update("r", [2.0, 1.0], pts[2:])
+        assert w.wit["r"].tolist() == [2.0, 3.0]
+        w.update("r", [1.0, 2.5], pts[2:])
+        assert w.res["r"] == 2.5 and w.wit["r"].tolist() == [6.0, 7.0]
 
 
 class TestSampling:

@@ -41,6 +41,17 @@ class TestMetricField:
         v = g.values([2.0, 5.0])
         assert v[0, 1] == v[1, 0] == pytest.approx(5.0)
 
+    def test_values_on_point_batch(self):
+        g = MetricField.from_upper(
+            {(0, 0): expr.parse("u1*u2", 2), (0, 1): expr.parse("exp(u2)", 2),
+             (1, 1): expr.parse("3", 2)},
+            CONTRAVARIANT,
+        )
+        pts = np.random.default_rng(1).uniform(0.2, 2.0, size=(5, 2))
+        batch = g.values(pts)
+        assert batch.shape == (5, 2, 2)
+        assert np.array_equal(batch, np.stack([g.values(p) for p in pts]))
+
     def test_constant_metric_must_be_symmetric(self):
         with pytest.raises(ValueError):
             MetricField.from_constant([[1.0, 2.0], [3.0, 1.0]])

@@ -97,6 +97,102 @@ class TestReductionResidual:
         assert reduction_residual(b, F_ID, PTS) == 0.0
 
 
+class TestFailClosed:
+    def test_nonfinite_partials_are_not_skipped(self):
+        # finite beta everywhere, NaN partials at the second point only
+        def value(u):
+            return np.array([[0.0, u[0]], [u[1], 0.0]], dtype=complex)
+
+        def jet(u):
+            der = np.zeros((2, 2, 2), dtype=complex)
+            if np.array_equal(u, PTS[1]):
+                der[:] = np.nan
+            return value(u), der
+
+        b = RotationCoeffs(2, "nan-partials", value, jet)
+        _, r2 = lame_residuals(b, PTS)
+        assert not np.isfinite(r2)
+        assert not np.isfinite(reduction_residual(b, F_ID, PTS))
+
+
+def count_calls(monkeypatch, cls, name):
+    """Wrap cls.name at class level; returns the list of recorded calls."""
+    calls = []
+    real = getattr(cls, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def pointwise_residuals(b, fv, fd, points):
+    """Reference loops over points and indices: (system, divergence,
+    reduction) with f^i values fv(p) and derivatives fd(p)."""
+    n = b.dim
+    sys_r, div_r, red_r = [0.0], [0.0], [0.0]
+    for p in points:
+        B, D = b.jet(p)
+        f, df = fv(p), fd(p)
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                others = [s for s in range(n) if s not in (i, j)]
+                sys_r += [abs(D[k, i, j] - B[i, k] * B[k, j]) for k in others]
+                div = D[i, i, j] + D[j, j, i]
+                red = (f[i] * D[i, i, j] + 0.5 * df[i] * B[i, j]
+                       + f[j] * D[j, j, i] + 0.5 * df[j] * B[j, i])
+                for s in others:
+                    div += B[s, i] * B[s, j]
+                    red += f[s] * B[s, i] * B[s, j]
+                div_r.append(abs(div))
+                if i < j:
+                    red_r.append(abs(red))
+    return max(sys_r), max(div_r), max(red_r)
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_pointwise_loops(self, n):
+        rng = np.random.default_rng(n)
+        pts = rng.uniform(0.5, 1.5, size=(5, n))
+        def cnormal(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        Bs, Ds = cnormal(len(pts), n, n), cnormal(len(pts), n, n, n)
+        row = {tuple(p): k for k, p in enumerate(pts)}
+
+        def jet(u):
+            k = row[tuple(u)]
+            return Bs[k], Ds[k]
+
+        b = RotationCoeffs(n, "random", lambda u: jet(u)[0], jet)
+        texts = ("u1^2+1", "3*u1", "exp(u1)", "2-u1")[:n]
+        f = [expr.parse(t, 1) for t in texts]
+        fv = lambda p: [fi(p[i:i + 1]) for i, fi in enumerate(f)]
+        fd = lambda p: [fi.eval_jet(p[i:i + 1], 1).grad[0]
+                        for i, fi in enumerate(f)]
+        ref = pointwise_residuals(b, fv, fd, pts)
+        got = (*lame_residuals(b, pts), reduction_residual(b, f, pts))
+        # same arithmetic in the same order; complex abs may differ in
+        # the last bit between numpy's array and scalar routines
+        assert got == pytest.approx(ref, rel=4 * np.finfo(float).eps)
+        assert (got[0] == 0.0) == (n == 2)
+
+    def test_reduction_evaluates_each_f_once(self, monkeypatch):
+        pts = sample_points(2, 10, seed=3, lo=0.5, hi=2.0)
+        b = rotation_from_H(polar())
+        jets = count_calls(monkeypatch, expr.ScalarField, "eval_jet")
+        partials = count_calls(monkeypatch, expr.ScalarField, "partial")
+        reduction_residual(b, F_ID, pts)
+        # N(N-1) entries per point from b.jet, plus one call per f^i
+        assert len(jets) == 2 * len(pts) + 2
+        assert partials == []
+
+
 class TestScalingProperty:
     def test_scaled_rotation_keeps_system_equations(self):
         H = [expr.parse("1", 3), expr.parse("u1", 3),

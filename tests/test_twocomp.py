@@ -100,6 +100,23 @@ class TestLequa:
         assert check_lequa(m, PTS).max_residuals["lequa"] > 1e-3
 
 
+class TestBatchedEvaluation:
+    def test_each_field_evaluated_once(self, monkeypatch):
+        calls = []
+        real = expr.ScalarField.eval_jet
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(expr.ScalarField, "eval_jet", counting)
+        m = log_model(0.5)
+        check_sys(m, PTS)
+        check_lequa(m, PTS)
+        assert len(PTS) == 10
+        assert len(calls) == 6  # b1, b2, F for sys; F, f1, f2 for lequa
+
+
 class TestAssembly:
     def test_metric_entries(self):
         m = log_model(1.0)
