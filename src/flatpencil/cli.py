@@ -227,19 +227,19 @@ def _run_twocomp_job(job, manifest, seed, tol):
     )
     pts = _sampling(job, 2, seed)
     job_tol = job.get("tol", tol)
-    rs = check_sys(m, pts).max_residuals["sys"]
-    rl = check_lequa(m, pts).max_residuals["lequa"]
+    sys_check = check_sys(m, pts, job_tol)
+    lequa_check = check_lequa(m, pts, job_tol)
     g1, g2 = assemble_two_metrics(m)
     pair = MetricPair(g1, g2, pts, lambda_samples=_lambdas(job, seed),
                       tol=job_tol)
     flat = check_flat_pencil(pair)
-    residual_side = all(r < job_tol for r in (rs, rl))
+    residual_side = sys_check.passed and lequa_check.passed
     verdicts = {
         "flat_pencil": flat.passed,
         "residuals_vanish": bool(residual_side),
         "equivalence": flat.passed == residual_side,
     }
-    residuals = {"sys": float(abs(rs)), "lequa": float(abs(rl)),
+    residuals = {**sys_check.max_residuals, **lequa_check.max_residuals,
                  **flat.max_residuals}
     return verdicts, residuals, flat.witnesses
 
@@ -265,7 +265,7 @@ def _run_dressing_job(job, manifest, seed, tol):
     sol = solve_integral_equation(kernel, rows=rows)
     beta = extract_beta(sol)
     if "out_beta" in job:
-        write_beta_grid(job["out_beta"], np.nan_to_num(beta), p.s_min, p.s_max)
+        write_beta_grid(job["out_beta"], beta, p.s_min, p.s_max)
     verdicts = {"solved": True}
     residuals = {"condition_number": max(sol.cond.values())}
     return verdicts, residuals, {}

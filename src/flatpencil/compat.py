@@ -29,9 +29,10 @@ from .geometry import (
     CONTRAVARIANT,
     DEGENERACY_TOL,
     MetricField,
+    _entry_jets,
+    _geometry_from_entries,
     affinor_from_jets,
     geometry_jet,
-    linear_combination,
     nijenhuis,
     roots_and_gap,
     tensor_M_from_jets,
@@ -113,9 +114,6 @@ class CheckResult:
     max_residuals: Dict[str, float]
     witnesses: Dict[str, np.ndarray]
 
-    def residual(self, name):
-        return self.max_residuals[name]
-
 
 @dataclass
 class CompatReport:
@@ -164,30 +162,36 @@ def _flatness_residual(j):
     return np.max(np.abs(j.riemann_upup)) / scale
 
 
+def _member_jet(l1, E1, l2, E2, point):
+    """GeometryJet of the pencil member l1*g1 + l2*g2 from the entry jets
+    E1, E2 of g1 and g2 (linear in lambda, so exact)."""
+    return _geometry_from_entries(*(l1 * a + l2 * b for a, b in zip(E1, E2)),
+                                  CONTRAVARIANT, point)
+
+
 _STAGES = ("almost", "compatible", "flat", "full")
 
 
 def _pass(pair, stage):
     """One sweep over the sample points with everything `stage` needs.
 
-    At each point g1 and g2 get one geometry jet each; the affinor,
-    Nijenhuis and M tensors and the eigen-gap come from those two jets.
-    From "compatible" on, each sampled pencil member gets one jet, which
-    serves both linearity and flatness.  Returns the residuals and, for
-    "full", whether the pencil eigenvalues stay apart at every point.
+    At each point the entries of g1 and g2 are evaluated once; their jets
+    give the geometry of g1, of g2 and, from "compatible" on, of each
+    sampled pencil member, which serves both linearity and flatness.  The
+    affinor, Nijenhuis and M tensors and the eigen-gap come from the jets
+    of g1 and g2.  Returns the residuals and, for "full", whether the
+    pencil eigenvalues stay apart at every point.
     """
     depth = _STAGES.index(stage)
-    members = []
-    if depth >= 1:
-        members = [
-            (l1, l2, linear_combination(l1, pair.g1, l2, pair.g2))
-            for l1, l2 in pair.lambda_samples
-        ]
+    lambdas = pair.lambda_samples if depth >= 1 else []
     w = _Worst()
     nonsingular = True
     for p in pair.sample_points:
-        j1 = geometry_jet(pair.g1, p)
-        j2 = geometry_jet(pair.g2, p)
+        pt = np.asarray(p, dtype=complex)
+        E1 = _entry_jets(pair.g1, pt, 2)
+        E2 = _entry_jets(pair.g2, pt, 2)
+        j1 = _geometry_from_entries(*E1, CONTRAVARIANT, pt)
+        j2 = _geometry_from_entries(*E2, CONTRAVARIANT, pt)
         scale = 1.0 + max(
             np.max(np.abs(j1.g_up)), np.max(np.abs(j2.g_up)),
             np.max(np.abs(j1.gamma_contra)), np.max(np.abs(j2.gamma_contra)),
@@ -197,9 +201,9 @@ def _pass(pair, stage):
         w.update("M", np.max(np.abs(tensor_M_from_jets(j1, j2))) / scale, p)
 
         jets = [((1.0, 0.0), j1), ((0.0, 1.0), j2)]
-        for l1, l2, comb in members:
+        for l1, l2 in lambdas:
             try:
-                jc = geometry_jet(comb, p)
+                jc = _member_jet(l1, E1, l2, E2, pt)
             except DegenerateMetric as exc:
                 raise DegenerateMetric(
                     np.asarray(p), exc.absdet,
@@ -298,6 +302,31 @@ def _check_eta(eta):
     return eta
 
 
+def _bracket_metric(eta_up, X, c=0.0):
+    """g^{ij} = eta^{is} d_s X^j + eta^{js} d_s X^i + c eta^{ij} for a vector
+    X of fields, in flat coordinates of eta."""
+    n = eta_up.shape[0]
+    upper = {}
+    for i in range(n):
+        for j in range(i, n):
+            entry = constant(c * eta_up[i, j], n)
+            for s in range(n):
+                if eta_up[i, s] != 0:
+                    entry = entry + eta_up[i, s] * X[j].partial(s)
+                if eta_up[j, s] != 0:
+                    entry = entry + eta_up[j, s] * X[i].partial(s)
+            upper[(i, j)] = entry
+    return MetricField.from_upper(upper, CONTRAVARIANT)
+
+
+def _bracket_hessians(eta_up, X, point):
+    """H[..., k, s, p] = d_s d_p X^k and eta^{is} H[..., j, k, s], the
+    connection coefficients of the bracket metric, at one point (n,) or a
+    batch (..., n)."""
+    H = np.stack([x.eval_jet(point, 2).hess for x in X], axis=-3)
+    return H, np.einsum("is,...jks->...ijk", eta_up, H)
+
+
 def dubrovin_construct_and_check(eta, f, c, points, tol=DEFAULT_TOL,
                                  lambda_samples=None):
     """Build g1 from a vector field in flat coordinates of g2 = eta.
@@ -307,26 +336,13 @@ def dubrovin_construct_and_check(eta, f, c, points, tol=DEFAULT_TOL,
     f^j and of the mixed second-derivative condition are reported, together
     with the flat-pencil verdict of the constructed pair.
     """
-    eta = _check_eta(eta)
-    n = eta.shape[0]
-    eta_up = np.linalg.inv(eta)
+    eta_up = np.linalg.inv(_check_eta(eta))
     pts = np.atleast_2d(np.asarray(points))
 
-    upper = {}
-    for i in range(n):
-        for j in range(i, n):
-            entry = constant(c * eta_up[i, j], n)
-            for s in range(n):
-                if eta_up[i, s] != 0:
-                    entry = entry + eta_up[i, s] * f[j].partial(s)
-                if eta_up[j, s] != 0:
-                    entry = entry + eta_up[j, s] * f[i].partial(s)
-            upper[(i, j)] = entry
-    g1 = MetricField.from_upper(upper, CONTRAVARIANT)
+    g1 = _bracket_metric(eta_up, f, c)
     g2 = MetricField.from_constant(eta_up, CONTRAVARIANT)
 
-    H = np.stack([fk.eval_jet(pts, 2).hess for fk in f], axis=1)  # [P,k,s,p]
-    D = np.einsum("is,...jks->...ijk", eta_up, H)  # Delta^{ij}_k
+    H, D = _bracket_hessians(eta_up, f, pts)  # H[P,k,s,p], D = Delta^{ij}_k
     quad = (np.einsum("...ijs,...skl->...ijkl", D, D)
             - np.einsum("...iks,...sjl->...ijkl", D, D))
     G1 = g1.values(pts)
@@ -356,28 +372,15 @@ def mokhov_bracket_metric(eta, h, points, tol=DEFAULT_TOL):
     is full compatibility against eta; otherwise only the connection-level
     linearity against b is checked (the construction allows degenerate g2).
     """
-    eta = _check_eta(eta)
-    n = eta.shape[0]
-    eta_up = np.linalg.inv(eta)
+    eta_up = np.linalg.inv(_check_eta(eta))
     pts = np.atleast_2d(np.asarray(points))
 
-    upper = {}
-    for i in range(n):
-        for j in range(i, n):
-            entry = constant(0.0, n)
-            for s in range(n):
-                if eta_up[i, s] != 0:
-                    entry = entry + eta_up[i, s] * h[j].partial(s)
-                if eta_up[j, s] != 0:
-                    entry = entry + eta_up[j, s] * h[i].partial(s)
-            upper[(i, j)] = entry
-    g2 = MetricField.from_upper(upper, CONTRAVARIANT)
+    g2 = _bracket_metric(eta_up, h)
     g1 = MetricField.from_constant(eta_up, CONTRAVARIANT)
 
     def b_at(point):
         """b^{ij}_k at one point (n,) or a batch (..., n)."""
-        H = np.stack([hk.eval_jet(point, 2).hess for hk in h], axis=-3)
-        return np.einsum("is,...jks->...ijk", eta_up, H)
+        return _bracket_hessians(eta_up, h, point)[1]
 
     degenerate = np.any(np.abs(np.linalg.det(g2.values(pts))) < DEGENERACY_TOL)
     if not degenerate:
@@ -386,14 +389,14 @@ def mokhov_bracket_metric(eta, h, points, tol=DEFAULT_TOL):
 
     # Connection-level check only: the pencil member lambda1*eta + lambda2*g2
     # must have Christoffel symbols -lambda2 * b (eta contributes none).
-    members = [(l2, linear_combination(l1, g1, l2, g2))
-               for l1, l2 in [(1.0, 0.5), (1.0, -0.5), (2.0, 0.25)]]
     w = _Worst()
     for p, b in zip(pts, b_at(pts)):
+        pt = np.asarray(p, dtype=complex)
+        E1, E2 = _entry_jets(g1, pt, 2), _entry_jets(g2, pt, 2)
         used = 0
-        for l2, comb in members:
+        for l1, l2 in [(1.0, 0.5), (1.0, -0.5), (2.0, 0.25)]:
             try:
-                jc = geometry_jet(comb, p)
+                jc = _member_jet(l1, E1, l2, E2, pt)
             except DegenerateMetric:
                 continue  # this lambda hits a pencil eigenvalue; skip it
             used += 1

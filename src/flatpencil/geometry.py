@@ -63,7 +63,6 @@ class MetricField:
 
     @staticmethod
     def diagonal(fields, variance=CONTRAVARIANT):
-        n = len(fields)
         return MetricField.from_upper(
             {(i, i): f for i, f in enumerate(fields)}, variance
         )
@@ -82,12 +81,7 @@ class MetricField:
     def values(self, point):
         """Entry matrix at one point (n,) or at a batch (..., n) of points,
         with shape (..., n, n)."""
-        pt = np.asarray(point, dtype=complex)
-        out = np.empty(pt.shape[:-1] + (self.dim, self.dim), dtype=complex)
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                out[..., i, j] = out[..., j, i] = self.entries[i][j](pt)
-        return out
+        return _entry_jets(self, point, 0)[0]
 
 
 def linear_combination(l1, g1, l2, g2):
@@ -127,61 +121,58 @@ class Affinor:
 
 
 def _entry_jets(g, point, order):
-    """Evaluate metric entries; return value/deriv arrays (derivative index first)."""
+    """Entry values and partials of a metric at one point (n,) or a batch
+    (..., n): V[..., i, j], d[..., k, i, j] = d_k V_ij and d2[..., k, l, i, j];
+    the partials above `order` are None."""
+    pt = np.asarray(point, dtype=complex)
     n = g.dim
-    V = np.zeros((n, n), dtype=complex)
-    d = np.zeros((n, n, n), dtype=complex)
-    d2 = np.zeros((n, n, n, n), dtype=complex)
+    batch = pt.shape[:-1]
+    V = np.empty(batch + (n, n), dtype=complex)
+    d = np.empty(batch + (n,) * 3, dtype=complex) if order >= 1 else None
+    d2 = np.empty(batch + (n,) * 4, dtype=complex) if order >= 2 else None
     for i in range(n):
         for j in range(i, n):
-            jet = g.entries[i][j].eval_jet(point, order)
-            V[i, j] = V[j, i] = jet.value
-            if order >= 1:
-                d[:, i, j] = d[:, j, i] = jet.grad
-            if order >= 2:
-                d2[:, :, i, j] = d2[:, :, j, i] = jet.hess
+            jet = g.entries[i][j].eval_jet(pt, order)
+            V[..., i, j] = V[..., j, i] = jet.value
+            if d is not None:
+                d[..., :, i, j] = d[..., :, j, i] = jet.grad
+            if d2 is not None:
+                d2[..., :, :, i, j] = d2[..., :, :, j, i] = jet.hess
     return V, d, d2
 
 
-def _invert_with_derivs(V, d, d2, order, point, degeneracy_tol):
+def _checked_inverse(V, point, degeneracy_tol):
+    """inv(V), or DegenerateMetric at `point` if |det V| is tiny for V."""
     n = V.shape[0]
     scale = max(1.0, float(np.max(np.abs(V))))
     det = np.linalg.det(V)
     if abs(det) < degeneracy_tol * scale**n:
         raise DegenerateMetric(np.asarray(point), abs(det))
-    W = np.linalg.inv(V)
-    dW = np.zeros_like(d)
-    d2W = np.zeros_like(d2)
-    if order >= 1:
-        for k in range(n):
-            dW[k] = -W @ d[k] @ W
-    if order >= 2:
-        for k in range(n):
-            for l in range(n):
-                d2W[k, l] = -(
-                    dW[l] @ d[k] @ W + W @ d2[k, l] @ W + W @ d[k] @ dW[l]
-                )
-    return W, dW, d2W
+    return np.linalg.inv(V)
 
 
-def _both_variances(g, point, order, degeneracy_tol):
-    """(up, dup, d2up, down, ddown, d2down) for a metric field at a point."""
-    V, d, d2 = _entry_jets(g, point, order)
-    W, dW, d2W = _invert_with_derivs(V, d, d2, order, point, degeneracy_tol)
-    if g.variance == CONTRAVARIANT:
-        return V, d, d2, W, dW, d2W
-    return W, dW, d2W, V, d, d2
+def _geometry_from_entries(V, d, d2, variance, point,
+                           degeneracy_tol=DEGENERACY_TOL):
+    """GeometryJet at `point` from one metric's order-2 entry jets.
 
-
-def geometry_jet(g, point, degeneracy_tol=DEGENERACY_TOL):
-    """Metric inverse, Christoffel symbols and curvature at one point.
-
-    The Levi-Civita connection comes from the covariant entries; curvature
-    needs second metric derivatives, supplied exactly by the jets.
+    The entry jets of a pencil member l1*g1 + l2*g2 are l1*E1 + l2*E2,
+    exactly, so members need no expression of their own.
     """
-    pt = np.asarray(point, dtype=complex)
-    n = g.dim
-    up, dup, d2up, down, ddown, d2down = _both_variances(g, pt, 2, degeneracy_tol)
+    n = V.shape[0]
+    W = _checked_inverse(V, point, degeneracy_tol)
+    dW = np.empty_like(d)
+    d2W = np.empty_like(d2)
+    for k in range(n):
+        dW[k] = -W @ d[k] @ W
+    for k in range(n):
+        for l in range(n):
+            d2W[k, l] = -(
+                dW[l] @ d[k] @ W + W @ d2[k, l] @ W + W @ d[k] @ dW[l]
+            )
+    if variance == CONTRAVARIANT:
+        up, dup, d2up, down, ddown, d2down = V, d, d2, W, dW, d2W
+    else:
+        up, dup, d2up, down, ddown, d2down = W, dW, d2W, V, d, d2
 
     # Gamma^i_{jk} = 1/2 g^{is} (d_j g_{sk} + d_k g_{js} - d_s g_{jk})
     # ddown[k,i,j] = d_k g_{ij}
@@ -216,7 +207,7 @@ def geometry_jet(g, point, degeneracy_tol=DEGENERACY_TOL):
     riemann_upup = np.einsum("is,jskl->ijkl", up, riemann_mixed)
 
     return GeometryJet(
-        point=pt,
+        point=np.asarray(point, dtype=complex),
         g_up=up,
         g_down=down,
         dg_up=dup,
@@ -228,6 +219,17 @@ def geometry_jet(g, point, degeneracy_tol=DEGENERACY_TOL):
         riemann_mixed=riemann_mixed,
         riemann_upup=riemann_upup,
     )
+
+
+def geometry_jet(g, point, degeneracy_tol=DEGENERACY_TOL):
+    """Metric inverse, Christoffel symbols and curvature at one point.
+
+    The Levi-Civita connection comes from the covariant entries; curvature
+    needs second metric derivatives, supplied exactly by the jets.
+    """
+    pt = np.asarray(point, dtype=complex)
+    return _geometry_from_entries(*_entry_jets(g, pt, 2), g.variance, pt,
+                                  degeneracy_tol)
 
 
 def affinor_from_jets(j1, j2):
@@ -300,6 +302,8 @@ def pencil_eigenvalues(g1, g2, point, degeneracy_tol=DEGENERACY_TOL):
     if g1.variance != CONTRAVARIANT:
         raise ValueError("pencil eigenvalues expect contravariant metrics")
     pt = np.asarray(point, dtype=complex)
-    up1 = _both_variances(g1, pt, 0, degeneracy_tol)[0]
-    down2 = _both_variances(g2, pt, 0, degeneracy_tol)[3]
-    return roots_and_gap(up1 @ down2)
+    up1 = _entry_jets(g1, pt, 0)[0]
+    _checked_inverse(up1, pt, degeneracy_tol)
+    V2 = _entry_jets(g2, pt, 0)[0]
+    W2 = _checked_inverse(V2, pt, degeneracy_tol)
+    return roots_and_gap(up1 @ (W2 if g2.variance == CONTRAVARIANT else V2))

@@ -42,8 +42,10 @@ class LameData:
 class RotationCoeffs:
     """beta_ij samples: value(u) -> (N, N), deriv(u) -> (k, i, j) partials.
 
-    jet(u) returns both at once; the residuals call it once per point so that
-    a source sharing work between value and partials pays for it once.
+    jet(points) returns both at once for a point (N,) or points (P, N), so
+    that a source sharing work between value and partials pays for it once.
+    A source's own jet takes one point; the field route takes the whole
+    batch, so each beta entry is evaluated once over all the points.
     """
 
     dim: int
@@ -58,34 +60,32 @@ class RotationCoeffs:
     def deriv(self, point):
         return self.jet(point)[1]
 
-    def jet(self, point):
-        """(value, deriv) at one point."""
-        return self._jet(np.asarray(point, dtype=float))
+    def jet(self, points):
+        """(value, deriv) at a point (N,), or stacked over points (P, N)."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 1 or self.beta_fields is not None:
+            return self._jet(pts)
+        B, D = zip(*(self._jet(p) for p in pts))
+        return np.array(B), np.array(D)
 
     @staticmethod
     def from_fields(beta_fields, provenance="fields"):
         n = len(beta_fields)
 
-        def value(point):
-            out = np.zeros((n, n), dtype=complex)
+        def jet(points):
+            lead = points.shape[:-1]
+            val = np.zeros(lead + (n, n), dtype=complex)
+            der = np.zeros(lead + (n, n, n), dtype=complex)
             for i in range(n):
                 for j in range(n):
                     if i != j:
-                        out[i, j] = beta_fields[i][j](point)
-            return out
-
-        def jet(point):
-            val = np.zeros((n, n), dtype=complex)
-            der = np.zeros((n, n, n), dtype=complex)
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        entry = beta_fields[i][j].eval_jet(point, 1)
-                        val[i, j] = entry.value
-                        der[:, i, j] = entry.grad
+                        entry = beta_fields[i][j].eval_jet(points, 1)
+                        val[..., i, j] = entry.value
+                        der[..., :, i, j] = entry.grad
             return val, der
 
-        return RotationCoeffs(n, provenance, value, jet, beta_fields)
+        return RotationCoeffs(n, provenance, lambda u: jet(u)[0], jet,
+                              beta_fields)
 
     @staticmethod
     def from_callable(dim, fn, step=FD_STEP, provenance="from-dressing"):
@@ -122,13 +122,6 @@ def rotation_from_H(d):
     return RotationCoeffs.from_fields(beta, provenance="from-H")
 
 
-def _stacked_jets(b, points):
-    """Points (P, N) and the stacked jets B (P, N, N), D (P, N, N, N)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    B, D = zip(*(b.jet(p) for p in pts))
-    return pts, np.array(B), np.array(D)
-
-
 def _outside(n):
     """Mask [s, i, j]: the index s differs from both i and j."""
     s = np.arange(n)
@@ -143,7 +136,7 @@ def lame_residuals(b, points):
     + d beta_ji / du^j + sum_{s != i,j} beta_si beta_sj = 0 for i != j.
     """
     n = b.dim
-    _, B, D = _stacked_jets(b, points)
+    B, D = b.jet(np.atleast_2d(np.asarray(points, dtype=float)))
     outside = _outside(n)
     off = ~np.eye(n, dtype=bool)
     # [p, k, i, j]: d beta_ij / du^k - beta_ik beta_kj
@@ -163,7 +156,8 @@ def reduction_residual(b, f, points):
     + sum_{s != i,j} f^s b_si b_sj = 0.
     """
     n = b.dim
-    pts, B, D = _stacked_jets(b, points)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    B, D = b.jet(pts)
     jets = [fi.eval_jet(pts[:, i:i + 1], 1) for i, fi in enumerate(f)]
     fv = np.stack([j.value for j in jets], axis=-1)  # (P, N)
     half_fd = 0.5 * np.stack([j.grad[:, 0] for j in jets], axis=-1)

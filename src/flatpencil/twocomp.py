@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compat import (
+    DEFAULT_TOL,
     CheckResult,
     _flatness_residual,
     _Worst,
@@ -46,7 +47,7 @@ class TwoCompModel:
             raise ValueError("f must be single-variable fields")
 
 
-def check_sys(m, points):
+def check_sys(m, points, tol=DEFAULT_TOL):
     """Max residual of the linear system tying b^1, b^2 to the potential F:
 
     db^2/du^1 = eps^1 (dF/du^2) b^1,   db^1/du^2 = -eps^2 (dF/du^1) b^2.
@@ -59,10 +60,10 @@ def check_sys(m, points):
     r2 = np.abs(db1.grad[:, 1] + m.eps2 * dF.grad[:, 0] * db2.value)
     w = _Worst()
     w.update("sys", np.maximum(r1, r2), pts)
-    return CheckResult(True, w.res, w.wit)
+    return CheckResult(w.res["sys"] < tol, w.res, w.wit)
 
 
-def check_lequa(m, points):
+def check_lequa(m, points, tol=DEFAULT_TOL):
     """Max residual of the flat-pencil condition on F:
 
     2 F_{12} (f^1 - f^2) + F_2 (f^1)' - F_1 (f^2)' = 0.
@@ -78,7 +79,7 @@ def check_lequa(m, points):
     )
     w = _Worst()
     w.update("lequa", r, pts)
-    return CheckResult(True, w.res, w.wit)
+    return CheckResult(w.res["lequa"] < tol, w.res, w.wit)
 
 
 def assemble_two_metrics(m):

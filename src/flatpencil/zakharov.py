@@ -76,10 +76,6 @@ class DressingProblem:
     def nodes(self):
         return np.linspace(self.s_min, self.s_max, self.m)
 
-    @property
-    def spacing(self):
-        return (self.s_max - self.s_min) / (self.m - 1)
-
 
 def _check_skew(phi, tol=1e-12):
     rng = np.random.default_rng(12345)

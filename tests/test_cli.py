@@ -7,6 +7,7 @@ import pytest
 
 from flatpencil import cli
 from flatpencil.cli import main, run_identities
+from flatpencil.expr import ScalarField
 from flatpencil.lame import read_beta_grid
 
 
@@ -151,6 +152,34 @@ class TestLameAndTwoCompJobs:
         assert main(["run", path]) == 0
 
 
+    def test_lame_job_evaluates_each_beta_entry_once(self, tmp_path,
+                                                     monkeypatch):
+        rotations = []
+        real_rotation = cli.rotation_from_H
+        monkeypatch.setattr(
+            cli, "rotation_from_H",
+            lambda d: rotations.append(real_rotation(d)) or rotations[-1])
+        calls = []
+        real = ScalarField.eval_jet
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScalarField, "eval_jet", counting)
+        payload = {"version": 1, "dim": 2, "jobs": [{
+            "kind": "lame-check", "H": ["exp(u1)", "1+u2^2"],
+            "f": ["u1", "u1"], "sampling": {"count": 10},
+        }]}
+        assert main(["run", write_manifest(tmp_path, payload),
+                     "--out", str(tmp_path / "out.ndjson")]) == 0
+        beta = rotations[0].beta_fields
+        entries = [beta[0][1], beta[1][0]]
+        # one batched evaluation per entry in each of lame_residuals and
+        # reduction_residual
+        assert sum(any(c is e for e in entries) for c in calls) == 4
+
+
 class TestResidualSideFailsClosed:
     def run_job(self, tmp_path, capsys, job):
         payload = {"version": 1, "dim": 2, "jobs": [job]}
@@ -174,14 +203,17 @@ class TestResidualSideFailsClosed:
         assert report["verdicts"]["equivalence"] is False
 
     def test_twocomp_nan_lequa(self, tmp_path, capsys, monkeypatch):
-        real = cli.check_lequa
+        # a NaN Hessian of F reaches only check_lequa, the one caller that
+        # asks F for order 2; its verdict must fail and the job with it
+        real = ScalarField.eval_jet
 
-        def nan_lequa(m, pts):
-            r = real(m, pts)
-            r.max_residuals["lequa"] = float("nan")
-            return r
+        def nan_hessian(self, point, order=3):
+            jet = real(self, point, order)
+            if self.source_text == "0.5*ln(u1-u2)" and order == 2:
+                jet.hess = np.full_like(jet.hess, np.nan)
+            return jet
 
-        monkeypatch.setattr(cli, "check_lequa", nan_lequa)
+        monkeypatch.setattr(ScalarField, "eval_jet", nan_hessian)
         code, report = self.run_job(tmp_path, capsys, {
             "kind": "two-component", "b1": "sqrt(u1-u2)",
             "b2": "sqrt(u1-u2)", "F": "0.5*ln(u1-u2)", "eps": [-1, 1],
@@ -242,6 +274,21 @@ class TestDressingJob:
         assert beta.shape == (2, 2, 33)
         assert (s_min, s_max) == (0.0, 1.0)
         assert np.max(np.abs(beta[:, :, 0])) > 1e-6
+
+    def test_unsolved_rows_are_nan(self, tmp_path):
+        out_beta = tmp_path / "beta.bin"
+        payload = {"version": 1, "jobs": [{
+            "kind": "dressing", "dim": 2,
+            "phi": {"0,1": "0.05*exp(-40*((u1+0.2)^2+(u2+0.3)^2))"},
+            "u": [0.3, 0.4], "m": 9, "rows": [0],
+            "out_beta": str(out_beta),
+        }]}
+        assert main(["run", write_manifest(tmp_path, payload),
+                     "--out", str(tmp_path / "out.ndjson")]) == 0
+        beta, _, _ = read_beta_grid(out_beta)
+        # only row 0 was solved; the others are NaN, not a solved zero
+        assert np.all(np.isfinite(beta[:, :, 0]))
+        assert np.all(np.isnan(beta[:, :, 1:]))
 
 
 class TestIdentities:

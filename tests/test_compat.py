@@ -4,7 +4,7 @@ flat-coordinate constructions."""
 import numpy as np
 import pytest
 
-from flatpencil import compat, expr
+from flatpencil import compat, expr, geometry
 from flatpencil.compat import (
     _Worst,
     MetricPair,
@@ -20,7 +20,14 @@ from flatpencil.compat import (
     sample_points,
 )
 from flatpencil.errors import DegenerateMetric
-from flatpencil.geometry import CONTRAVARIANT, MetricField, geometry_jet
+from flatpencil.geometry import (
+    CONTRAVARIANT,
+    GeometryJet,
+    MetricField,
+    _entry_jets,
+    geometry_jet,
+    linear_combination,
+)
 
 PTS = sample_points(2, 8, seed=11, lo=0.3, hi=1.8)
 EYE2 = MetricField.from_constant(np.eye(2))
@@ -120,17 +127,29 @@ class TestFlatPencil:
 
 class TestSinglePass:
     def test_full_report_one_jet_per_metric_and_member(self, monkeypatch):
+        # members come from the entry jets of g1 and g2: each entry of the
+        # two metrics is evaluated once per point, and no member expression
+        # is built
         calls = []
+        real = expr.ScalarField.eval_jet
 
-        def counting(g, point, *args):
-            calls.append(g)
-            return geometry_jet(g, point, *args)
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(compat, "geometry_jet", counting)
+        combined = []
+        monkeypatch.setattr(expr.ScalarField, "eval_jet", counting)
+        monkeypatch.setattr(geometry, "linear_combination",
+                            lambda *args: combined.append(args))
         g1 = MetricField.diagonal([expr.parse("u1", 2), expr.parse("u2", 2)])
         pair = MetricPair(g1, EYE2, PTS)
         full_report(pair)
-        assert len(calls) == len(PTS) * (2 + len(pair.lambda_samples))
+        entries = [g.entries[i][j] for g in (g1, EYE2)
+                   for i in range(2) for j in range(i, 2)]
+        assert len({id(e) for e in entries}) == 6
+        assert len(calls) == 6 * len(PTS)
+        assert all(calls.count(e) == len(PTS) for e in entries)
+        assert combined == [] and "linear_combination" not in vars(compat)
 
     def test_members_evaluated_only_from_compatible_on(self):
         # g1 + g2 = 0 is the degenerate member lambda = (1, 1)
@@ -140,6 +159,65 @@ class TestSinglePass:
         with pytest.raises(DegenerateMetric,
                            match=r"pencil member lambda=\(1\.0, 1\.0\)"):
             check_compatible(pair)
+
+
+def nondiagonal_3d_pair():
+    texts1 = {(0, 0): "2+u1*u2", (0, 1): "0.3*sin(u3)", (0, 2): "u1^2/5",
+              (1, 1): "3+exp(u2/4)", (1, 2): "0.2*u1*u3", (2, 2): "4+u3^2"}
+    texts2 = {(0, 0): "1+u2", (0, 1): "0.1*u1*u2", (0, 2): "0.2",
+              (1, 1): "2+cos(u1)", (1, 2): "u3/7", (2, 2): "3+ln(1+u1)"}
+    return [MetricField.from_upper({ij: expr.parse(t, 3)
+                                    for ij, t in texts.items()},
+                                   CONTRAVARIANT)
+            for texts in (texts1, texts2)]
+
+
+def jets_equal(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in GeometryJet.__dataclass_fields__)
+
+
+class TestMembersByLinearity:
+    def test_member_jet_equals_expression_route_bit_for_bit(self):
+        g1, g2 = nondiagonal_3d_pair()
+        lambdas = [(1.0, 1.0), (2.0, -3.0), (0.4 - 1.3j, 0.7 + 0.2j)]
+        for p in sample_points(3, 4, seed=5, lo=0.3, hi=1.5):
+            E1 = _entry_jets(g1, p, 2)
+            E2 = _entry_jets(g2, p, 2)
+            for l1, l2 in lambdas:
+                ref = geometry_jet(linear_combination(l1, g1, l2, g2), p)
+                assert jets_equal(compat._member_jet(l1, E1, l2, E2, p), ref)
+
+    def test_mokhov_fallback_with_nonzero_b_matches_expression_route(self):
+        # g2 = [[2 u1^2, 2 u2 (1 + u1)], [2 u2 (1 + u1), 0]] is degenerate at
+        # the origin (first point), so only connection-level linearity
+        # against b is checked; the member eta - 0.5 g2 is degenerate where
+        # u2 (1 + u1) = 1 (last point) and is skipped there
+        eta = np.array([[0.0, 1.0], [1.0, 0.0]])
+        h = [expr.parse("u1^2*u2", 2), expr.parse("u2^2", 2)]
+        pts = np.vstack([[[0.0, 0.0]], PTS, [[1.0, 0.5]]])
+        g2, b_at, r = mokhov_bracket_metric(eta, h, pts)
+        assert set(r.max_residuals) == {"gamma_linearity"}
+        g1 = MetricField.from_constant(np.linalg.inv(eta))
+        ref = _Worst()
+        skipped = []
+        for p, b in zip(pts, b_at(pts)):
+            assert np.max(np.abs(b)) >= 2.0  # d_2 d_2 h^2 = 2
+            for l1, l2 in [(1.0, 0.5), (1.0, -0.5), (2.0, 0.25)]:
+                try:
+                    jc = geometry_jet(linear_combination(l1, g1, l2, g2), p)
+                except DegenerateMetric:
+                    skipped.append((p[0], l2))
+                    continue
+                scale = 1.0 + max(np.max(np.abs(b)),
+                                  np.max(np.abs(jc.gamma_contra)))
+                ref.update("gamma_linearity",
+                           np.max(np.abs(jc.gamma_contra + l2 * b)) / scale,
+                           p)
+        assert skipped == [(1.0, -0.5)]
+        assert r.max_residuals == ref.res
+        assert np.array_equal(r.witnesses["gamma_linearity"],
+                              ref.wit["gamma_linearity"])
 
 
 class TestConstantCurvature:

@@ -1,0 +1,38 @@
+"""The demo scripts and the demo manifest run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def run(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_script_runs(script, tmp_path):
+    proc = run([str(script)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_demo_manifest_runs(tmp_path):
+    proc = run(["-m", "flatpencil.cli", "run",
+                str(ROOT / "demos" / "manifest.json")], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) > 0
+
+
+def test_three_demo_scripts():
+    assert [p.name for p in DEMOS] == [
+        "conformal_counterexample.py", "dressing_pipeline.py",
+        "two_component_pencils.py"]

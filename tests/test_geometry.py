@@ -217,6 +217,20 @@ class TestPencilEigenvalues:
         assert gap == pytest.approx(2.0)
 
 
+    def test_degenerate_metrics_rejected(self):
+        coord = MetricField.diagonal([expr.parse("u1", 2), expr.parse("1", 2)])
+        eye = MetricField.from_constant(np.eye(2))
+        for g1, g2 in ((coord, eye), (eye, coord)):
+            with pytest.raises(DegenerateMetric):
+                pencil_eigenvalues(g1, g2, [0.0, 1.0])
+
+    def test_covariant_g2_read_as_its_lower_entries(self):
+        g1 = MetricField.diagonal([expr.parse("u1", 2), expr.parse("u2", 2)])
+        g2 = MetricField.from_constant(np.diag([0.5, 0.25]), COVARIANT)
+        roots, _ = pencil_eigenvalues(g1, g2, [0.7, 2.0])
+        assert roots == pytest.approx(np.array([0.35, 0.5]))
+
+
 class TestLinearCombination:
     def test_combination_values(self):
         g1 = MetricField.diagonal([expr.parse("u1", 2), expr.parse("u2", 2)])

@@ -182,14 +182,31 @@ class TestBatchedEvaluation:
         assert got == pytest.approx(ref, rel=4 * np.finfo(float).eps)
         assert (got[0] == 0.0) == (n == 2)
 
+    def test_batched_jet_equals_per_point_stack(self):
+        b = rotation_from_H(LameData(
+            [expr.parse("1", 3), expr.parse("u1", 3),
+             expr.parse("u1*sin(u2)", 3)], [F_ID[0]] * 3))
+        for src in (b, RotationCoeffs.from_callable(3, b.value)):
+            B, D = src.jet(PTS3)
+            assert B.shape == (6, 3, 3) and D.shape == (6, 3, 3, 3)
+            for k, p in enumerate(PTS3):
+                B1, D1 = src.jet(p)
+                assert np.array_equal(B[k], B1) and np.array_equal(D[k], D1)
+
+    def test_field_route_one_evaluation_per_entry(self, monkeypatch):
+        b = rotation_from_H(polar())
+        jets = count_calls(monkeypatch, expr.ScalarField, "eval_jet")
+        b.jet(PTS)
+        assert len(jets) == 2  # the two off-diagonal entries at N = 2
+
     def test_reduction_evaluates_each_f_once(self, monkeypatch):
         pts = sample_points(2, 10, seed=3, lo=0.5, hi=2.0)
         b = rotation_from_H(polar())
         jets = count_calls(monkeypatch, expr.ScalarField, "eval_jet")
         partials = count_calls(monkeypatch, expr.ScalarField, "partial")
         reduction_residual(b, F_ID, pts)
-        # N(N-1) entries per point from b.jet, plus one call per f^i
-        assert len(jets) == 2 * len(pts) + 2
+        # N(N-1) entries from one batched b.jet, plus one call per f^i
+        assert len(jets) == 2 + 2
         assert partials == []
 
 

@@ -100,6 +100,44 @@ class TestLequa:
         assert check_lequa(m, PTS).max_residuals["lequa"] > 1e-3
 
 
+class TestVerdicts:
+    def mismatched(self):
+        return TwoCompModel(
+            expr.parse("sqrt(u1-u2)*u1", 2), expr.parse("u2+1", 2),
+            expr.parse("u1*u2^2", 2), -1, 1, F_U1, expr.parse("u1^2", 1),
+        )
+
+    def test_mismatched_model_fails(self):
+        m = self.mismatched()
+        assert check_sys(m, PTS).max_residuals["sys"] > 1.0
+        assert check_lequa(m, PTS).max_residuals["lequa"] > 1.0
+        assert not check_sys(m, PTS).passed
+        assert not check_lequa(m, PTS).passed
+        # the tolerance is the caller's
+        assert check_sys(m, PTS, tol=1e3).passed
+        assert check_lequa(m, PTS, tol=1e3).passed
+
+    def test_log_model_passes(self):
+        m = log_model(0.5)
+        assert check_sys(m, PTS).passed and check_lequa(m, PTS).passed
+
+    def test_nan_residual_fails(self, monkeypatch):
+        m = log_model(0.5)
+        real = expr.ScalarField.eval_jet
+
+        def nan_grad(self, point, order=3):
+            jet = real(self, point, order)
+            if self is m.F:
+                jet.grad = np.full_like(jet.grad, np.nan)
+            return jet
+
+        monkeypatch.setattr(expr.ScalarField, "eval_jet", nan_grad)
+        for r, name in ((check_sys(m, PTS), "sys"),
+                        (check_lequa(m, PTS), "lequa")):
+            assert np.isnan(r.max_residuals[name])
+            assert not r.passed
+
+
 class TestBatchedEvaluation:
     def test_each_field_evaluated_once(self, monkeypatch):
         calls = []
