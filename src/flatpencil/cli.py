@@ -62,6 +62,17 @@ class ManifestError(Exception):
     pass
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _dim(job, manifest):
+    dim = job.get("dim", manifest.get("dim"))
+    if not _is_int(dim) or dim < 1:
+        raise ManifestError(f"'dim' must be a positive integer, not {dim!r}")
+    return dim
+
+
 def _parse_field(text, dim, name):
     try:
         return parse(text, dim)
@@ -75,13 +86,21 @@ def _build_metric(spec, dim, expressions, name):
     if "identity" in spec:
         return MetricField.from_constant(np.eye(dim))
     if "diagonal" in spec:
+        diagonal = spec["diagonal"]
+        if not isinstance(diagonal, list) or len(diagonal) != dim:
+            raise ManifestError(
+                f"metric {name!r}: diagonal needs {dim} entries")
         fields = [
             _parse_field(_resolve(t, expressions), dim, name)
-            for t in spec["diagonal"]
+            for t in diagonal
         ]
         return MetricField.diagonal(fields, CONTRAVARIANT)
     if "entries" in spec:
         rows = spec["entries"]
+        if not (isinstance(rows, list) and len(rows) == dim
+                and all(isinstance(r, list) and len(r) == dim for r in rows)):
+            raise ManifestError(
+                f"metric {name!r}: entries must be a {dim}x{dim} matrix")
         upper = {}
         for i in range(dim):
             for j in range(i, dim):
@@ -100,9 +119,15 @@ def _resolve(text, expressions):
 
 def _sampling(job, dim, seed):
     cfg = job.get("sampling", {})
+    if not isinstance(cfg, dict):
+        raise ManifestError("'sampling' must be an object")
+    count = cfg.get("count", 10)
+    if not _is_int(count) or count < 1:
+        raise ManifestError(
+            f"sampling count must be a positive integer, not {count!r}")
     return sample_points(
         dim,
-        cfg.get("count", 10),
+        count,
         seed=seed,
         lo=cfg.get("lo", 0.2),
         hi=cfg.get("hi", 2.0),
@@ -154,7 +179,7 @@ def _dumps(report):
 
 
 def _run_pair_job(job, manifest, seed, tol):
-    dim = job.get("dim", manifest.get("dim"))
+    dim = _dim(job, manifest)
     expressions = manifest.get("expressions", {})
     metrics = manifest.get("metrics", {})
     for name in (job["g1"], job["g2"]):
@@ -189,7 +214,7 @@ def _run_pair_job(job, manifest, seed, tol):
 
 
 def _run_lame_job(job, manifest, seed, tol):
-    dim = job.get("dim", manifest.get("dim"))
+    dim = _dim(job, manifest)
     expressions = manifest.get("expressions", {})
     H = [_parse_field(_resolve(t, expressions), dim, "H") for t in job["H"]]
     f = [_parse_field(_resolve(t, expressions), 1, "f") for t in job["f"]]
@@ -246,7 +271,7 @@ def _run_twocomp_job(job, manifest, seed, tol):
 
 def _run_dressing_job(job, manifest, seed, tol):
     expressions = manifest.get("expressions", {})
-    dim = job.get("dim", manifest.get("dim"))
+    dim = _dim(job, manifest)
     phi = {}
     for key, text in job["phi"].items():
         i, j = (int(t) for t in key.split(","))
@@ -411,15 +436,27 @@ def _run_job(idx, job, manifest, seed, tol):
     return report, ok
 
 
+def _error(message):
+    """Report an input error on stderr; exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args):
     try:
         with open(args.manifest) as fh:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load manifest: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"cannot load manifest: {exc}")
+    if not isinstance(manifest, dict):
+        return _error("manifest must be a JSON object")
     jobs = manifest.get("jobs", [])
-    out = open(args.out, "w") if args.out else sys.stdout
+    if not (isinstance(jobs, list) and all(isinstance(j, dict) for j in jobs)):
+        return _error("manifest 'jobs' must be a list of objects")
+    try:
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        return _error(f"cannot open output: {exc}")
     all_ok = True
     try:
         for idx, job in enumerate(jobs):
@@ -427,8 +464,7 @@ def _cmd_run(args):
             all_ok = all_ok and ok
             print(_dumps(report), file=out)
     except (ManifestError, KeyError, FlatPencilError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     finally:
         if args.out:
             out.close()
@@ -436,13 +472,16 @@ def _cmd_run(args):
 
 
 def _cmd_identities(args):
-    report = run_identities(args.trials, args.seed)
-    text = _dumps(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            print(text, file=fh)
-    else:
-        print(text)
+    try:
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        return _error(f"cannot open output: {exc}")
+    try:
+        report = run_identities(args.trials, args.seed)
+        print(_dumps(report), file=out)
+    finally:
+        if args.out:
+            out.close()
     return 0 if report["all_below_1e-8"] else 1
 
 

@@ -151,15 +151,18 @@ class _Worst:
             self.wit[name] = np.asarray(point)
 
 
-def _abs_max(a):
-    """max |a| over all axes but the leading point axis; NaN propagates."""
-    return np.abs(a).reshape(len(a), -1).max(axis=1)
+def _abs_max(a, lead=1):
+    """max |a| over all but the `lead` leading axes; NaN propagates."""
+    a = np.abs(a)
+    return a.reshape(a.shape[:lead] + (-1,)).max(axis=-1)
 
 
 def _flatness_residual(j):
-    """Scale-relative size of the curvature R^{ij}_{kl} of one metric jet."""
-    scale = 1.0 + max(np.max(np.abs(j.g_up)), np.max(np.abs(j.gamma_contra)))
-    return np.max(np.abs(j.riemann_upup)) / scale
+    """Scale-relative size of a jet's curvature R^{ij}_{kl}, per point."""
+    lead = j.point.ndim - 1
+    scale = 1.0 + np.maximum(_abs_max(j.g_up, lead),
+                             _abs_max(j.gamma_contra, lead))
+    return _abs_max(j.riemann_upup, lead) / scale
 
 
 def _member_jet(l1, E1, l2, E2, point):
@@ -284,12 +287,10 @@ def check_constant_curvature(g, K, points, tol=DEFAULT_TOL):
     pattern = K * (
         np.einsum("il,jk->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
     )
+    pts = np.atleast_2d(np.asarray(points))
+    R = geometry_jet(g, pts).riemann_upup
     w = _Worst()
-    for p in np.atleast_2d(np.asarray(points)):
-        j = geometry_jet(g, p)
-        scale = 1.0 + abs(K)
-        w.update("constant_curvature",
-                 np.max(np.abs(j.riemann_upup - pattern)) / scale, p)
+    w.update("constant_curvature", _abs_max(R - pattern) / (1.0 + abs(K)), pts)
     return CheckResult(w.res["constant_curvature"] < tol, w.res, w.wit)
 
 

@@ -1,9 +1,9 @@
 """Pointwise tensor objects of a metric or a metric pair.
 
-Everything here is a pure function of immutable field inputs evaluated at a
-point: metric inverse, both Christoffel index positions, Riemann curvature,
-the affinor of a pair, its Nijenhuis tensor, the obstruction tensor built
-from the two contravariant connections, and pencil eigenvalues.
+Everything here is a pure function of immutable field inputs at a point (n,)
+or a batch (..., n), whose axes lead every output: inverse, both Christoffel
+index positions and curvature of a metric; affinor, Nijenhuis and M tensors
+of a pair; pencil eigenvalues, at one point only.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def linear_combination(l1, g1, l2, g2):
 
 @dataclass
 class GeometryJet:
-    """All tensor data of one metric at one point."""
+    """All tensor data of one metric; batch axes, if any, lead each array."""
 
     point: np.ndarray
     g_up: np.ndarray          # g^{ij}
@@ -114,7 +114,7 @@ class GeometryJet:
 
 @dataclass
 class Affinor:
-    """Values and first partials of v^i_j = g1^{is} g_{2,sj} at a point."""
+    """Values and first partials of v^i_j = g1^{is} g_{2,sj} (batch first)."""
 
     v: np.ndarray   # [i,j]
     dv: np.ndarray  # [s,i,j] = d v^i_j / d u^s
@@ -142,33 +142,31 @@ def _entry_jets(g, point, order):
 
 
 def _checked_inverse(V, point, degeneracy_tol):
-    """inv(V), or DegenerateMetric at `point` if |det V| is tiny for V."""
-    n = V.shape[0]
-    scale = max(1.0, float(np.max(np.abs(V))))
+    """inv(V) of shape (..., n, n); DegenerateMetric names the first point
+    in batch order whose |det V| is tiny for its own V."""
+    n = V.shape[-1]
+    scale = np.maximum(1.0, np.abs(V).max(axis=(-2, -1)))
     det = np.linalg.det(V)
-    if abs(det) < degeneracy_tol * scale**n:
-        raise DegenerateMetric(np.asarray(point), abs(det))
+    bad = np.abs(det) < degeneracy_tol * scale**n
+    if bad.any():
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        raise DegenerateMetric(np.asarray(point)[k], abs(det[k]))
     return np.linalg.inv(V)
 
 
 def _geometry_from_entries(V, d, d2, variance, point,
                            degeneracy_tol=DEGENERACY_TOL):
-    """GeometryJet at `point` from one metric's order-2 entry jets.
+    """GeometryJet at `point` (n,) or (..., n) from order-2 entry jets.
 
     The entry jets of a pencil member l1*g1 + l2*g2 are l1*E1 + l2*E2,
     exactly, so members need no expression of their own.
     """
-    n = V.shape[0]
     W = _checked_inverse(V, point, degeneracy_tol)
-    dW = np.empty_like(d)
-    d2W = np.empty_like(d2)
-    for k in range(n):
-        dW[k] = -W @ d[k] @ W
-    for k in range(n):
-        for l in range(n):
-            d2W[k, l] = -(
-                dW[l] @ d[k] @ W + W @ d2[k, l] @ W + W @ d[k] @ dW[l]
-            )
+    # d_k W = -W d_k V W and d_l d_k W, with k (and l) as matmul batch axes
+    Wk, dk = W[..., None, :, :], d[..., :, None, :, :]
+    dW = -Wk @ d @ Wk
+    Wkl, dWl = Wk[..., None, :, :], dW[..., None, :, :, :]
+    d2W = -(dWl @ dk @ Wkl + Wkl @ d2 @ Wkl + Wkl @ dk @ dWl)
     if variance == CONTRAVARIANT:
         up, dup, d2up, down, ddown, d2down = V, d, d2, W, dW, d2W
     else:
@@ -177,34 +175,34 @@ def _geometry_from_entries(V, d, d2, variance, point,
     # Gamma^i_{jk} = 1/2 g^{is} (d_j g_{sk} + d_k g_{js} - d_s g_{jk})
     # ddown[k,i,j] = d_k g_{ij}
     bracket = (
-        np.einsum("jsk->sjk", ddown)
-        + np.einsum("kjs->sjk", ddown)
-        - np.einsum("sjk->sjk", ddown)
+        np.einsum("...jsk->...sjk", ddown)
+        + np.einsum("...kjs->...sjk", ddown)
+        - ddown
     )
-    gamma_mixed = 0.5 * np.einsum("is,sjk->ijk", up, bracket)
+    gamma_mixed = 0.5 * np.einsum("...is,...sjk->...ijk", up, bracket)
 
     # d_m Gamma^i_{jk}
     dbracket = (
-        np.einsum("mjsk->msjk", d2down)
-        + np.einsum("mkjs->msjk", d2down)
-        - np.einsum("msjk->msjk", d2down)
+        np.einsum("...mjsk->...msjk", d2down)
+        + np.einsum("...mkjs->...msjk", d2down)
+        - d2down
     )
     dgamma = 0.5 * (
-        np.einsum("mis,sjk->mijk", dup, bracket)
-        + np.einsum("is,msjk->mijk", up, dbracket)
+        np.einsum("...mis,...sjk->...mijk", dup, bracket)
+        + np.einsum("...is,...msjk->...mijk", up, dbracket)
     )
 
     # R^i_{jkl} = d_k Gamma^i_{jl} - d_l Gamma^i_{jk}
     #           + Gamma^i_{pk} Gamma^p_{jl} - Gamma^i_{pl} Gamma^p_{jk}
     riemann_mixed = (
-        np.einsum("kijl->ijkl", dgamma)
-        - np.einsum("lijk->ijkl", dgamma)
-        + np.einsum("ipk,pjl->ijkl", gamma_mixed, gamma_mixed)
-        - np.einsum("ipl,pjk->ijkl", gamma_mixed, gamma_mixed)
+        np.einsum("...kijl->...ijkl", dgamma)
+        - np.einsum("...lijk->...ijkl", dgamma)
+        + np.einsum("...ipk,...pjl->...ijkl", gamma_mixed, gamma_mixed)
+        - np.einsum("...ipl,...pjk->...ijkl", gamma_mixed, gamma_mixed)
     )
 
-    gamma_contra = np.einsum("is,jsk->ijk", up, gamma_mixed)
-    riemann_upup = np.einsum("is,jskl->ijkl", up, riemann_mixed)
+    gamma_contra = np.einsum("...is,...jsk->...ijk", up, gamma_mixed)
+    riemann_upup = np.einsum("...is,...jskl->...ijkl", up, riemann_mixed)
 
     return GeometryJet(
         point=np.asarray(point, dtype=complex),
@@ -222,7 +220,7 @@ def _geometry_from_entries(V, d, d2, variance, point,
 
 
 def geometry_jet(g, point, degeneracy_tol=DEGENERACY_TOL):
-    """Metric inverse, Christoffel symbols and curvature at one point.
+    """Metric inverse, Christoffel symbols and curvature at a point or batch.
 
     The Levi-Civita connection comes from the covariant entries; curvature
     needs second metric derivatives, supplied exactly by the jets.
@@ -235,14 +233,14 @@ def geometry_jet(g, point, degeneracy_tol=DEGENERACY_TOL):
 def affinor_from_jets(j1, j2):
     """v^i_j = g1^{is} g_{2,sj} and its first partials, from the two jets."""
     v = j1.g_up @ j2.g_down
-    dv = np.einsum("sip,pj->sij", j1.dg_up, j2.g_down) + np.einsum(
-        "ip,spj->sij", j1.g_up, j2.dg_down
+    dv = np.einsum("...sip,...pj->...sij", j1.dg_up, j2.g_down) + np.einsum(
+        "...ip,...spj->...sij", j1.g_up, j2.dg_down
     )
     return Affinor(v=v, dv=dv)
 
 
 def affinor_at(g1, g2, point, degeneracy_tol=DEGENERACY_TOL):
-    """v^i_j = g1^{is} g_{2,sj} and its first partials at a point."""
+    """v^i_j = g1^{is} g_{2,sj} and its first partials at a point or batch."""
     pt = np.asarray(point, dtype=complex)
     return affinor_from_jets(geometry_jet(g1, pt, degeneracy_tol),
                              geometry_jet(g2, pt, degeneracy_tol))
@@ -251,10 +249,10 @@ def affinor_at(g1, g2, point, degeneracy_tol=DEGENERACY_TOL):
 def nijenhuis(a):
     """N^k_{ij} of an affinor; antisymmetric in (i, j) exactly."""
     v, dv = a.v, a.dv
-    t1 = np.einsum("si,skj->kij", v, dv)
-    t3 = np.einsum("ks,jsi->kij", v, dv)
-    n1 = t1 - np.einsum("kij->kji", t1)
-    n3 = t3 - np.einsum("kij->kji", t3)
+    t1 = np.einsum("...si,...skj->...kij", v, dv)
+    t3 = np.einsum("...ks,...jsi->...kij", v, dv)
+    n1 = t1 - np.einsum("...kij->...kji", t1)
+    n3 = t3 - np.einsum("...kij->...kji", t3)
     return n1 + n3
 
 
@@ -267,10 +265,10 @@ def tensor_M_from_jets(j1, j2):
     up1, up2 = j1.g_up, j2.g_up
     gc1, gc2 = j1.gamma_contra, j2.gamma_contra
     return (
-        np.einsum("is,jks->ijk", up1, gc2)
-        - np.einsum("js,iks->ijk", up2, gc1)
-        - np.einsum("js,iks->ijk", up1, gc2)
-        + np.einsum("is,jks->ijk", up2, gc1)
+        np.einsum("...is,...jks->...ijk", up1, gc2)
+        - np.einsum("...js,...iks->...ijk", up2, gc1)
+        - np.einsum("...js,...iks->...ijk", up1, gc2)
+        + np.einsum("...is,...jks->...ijk", up2, gc1)
     )
 
 

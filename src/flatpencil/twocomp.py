@@ -17,6 +17,7 @@ import numpy as np
 from .compat import (
     DEFAULT_TOL,
     CheckResult,
+    _abs_max,
     _flatness_residual,
     _Worst,
     check_constant_curvature,
@@ -114,9 +115,8 @@ def constant_curvature_pencil(K, points, tol=1e-8):
         metrics.append(MetricField.diagonal([g11, g22], CONTRAVARIANT))
     w = _Worst()
     for n in range(3):
-        for p in pts:
-            w.update(f"flatness_G{n}",
-                     _flatness_residual(geometry_jet(metrics[n], p)), p)
+        w.update(f"flatness_G{n}",
+                 _flatness_residual(geometry_jet(metrics[n], pts)), pts)
     cc = check_constant_curvature(metrics[3], K, pts, tol)
     w.update("curvature_G3", cc.max_residuals["constant_curvature"],
              cc.witnesses["constant_curvature"])
@@ -135,8 +135,7 @@ def harmonic_flatness(a, points):
     pts = np.atleast_2d(np.asarray(points))
     hess = a.eval_jet(pts, 2).hess
     lap = np.max(np.abs(hess[:, 0, 0] + hess[:, 1, 1]))
-    curv = np.max([np.max(np.abs(geometry_jet(g, p).riemann_upup))
-                   for p in pts])
+    curv = np.max(_abs_max(geometry_jet(g, pts).riemann_upup))
     return float(lap), float(curv)
 
 

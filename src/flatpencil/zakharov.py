@@ -317,6 +317,10 @@ def solve_integral_equation(k, decay_tol=DECAY_TOL, rows=None,
         )
     if rows is None:
         rows = list(range(m))
+    for a in rows:
+        if isinstance(a, bool) or not isinstance(a, (int, np.integer)) \
+                or not 0 <= a < m:
+            raise ValueError(f"row {a!r} is not a node index in 0..{m - 1}")
     K = np.full((n, n, m, m), np.nan, dtype=complex)
     conds = {}
     for a in rows:

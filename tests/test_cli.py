@@ -330,3 +330,67 @@ class TestIdentities:
         rep = json.loads(out.read_text())
         assert rep["max_relative_residuals"]["mn1"] == "NaN"
         assert rep["all_below_1e-8"] is False
+
+
+GAUSSIAN = "0.05*exp(-40*((u1+0.2)^2+(u2+0.3)^2))"
+
+
+def _with_job(**fields):
+    payload = pair_manifest({})
+    payload["jobs"][0].update(fields)
+    return payload
+
+
+def _without_dim():
+    payload = pair_manifest({})
+    del payload["dim"]
+    return payload
+
+
+def _entries_not_square():
+    payload = _with_job(g1="full")
+    payload["metrics"]["full"] = {"entries": [["1", "0"]]}
+    return payload
+
+
+def _run(payload):
+    return lambda tmp: ["run", write_manifest(tmp, payload)]
+
+
+def _diagonal_too_long():
+    payload = pair_manifest({})
+    payload["metrics"]["coord"]["diagonal"].append("u1")
+    return payload
+
+
+# case: (argv from a temporary directory, text the error line must hold)
+INPUT_ERRORS = {
+    "manifest-not-object": (_run([]), "JSON object"),
+    "job-not-object": (_run({**pair_manifest({}), "jobs": [1]}),
+                       "list of objects"),
+    "missing-dim": (_run(_without_dim()), "'dim'"),
+    "entries-not-square": (_run(_entries_not_square()), "2x2"),
+    "diagonal-too-long": (_run(_diagonal_too_long()), "2 entries"),
+    "count-not-integer": (_run(_with_job(sampling={"count": "x"})), "count"),
+    "dressing-row-outside": (_run({"version": 1, "jobs": [{
+        "kind": "dressing", "dim": 2, "phi": {"0,1": GAUSSIAN},
+        "u": [0.3, 0.4], "m": 9, "rows": [100]}]}), "row 100"),
+    "run-out-unwritable": (lambda tmp: [
+        "run", write_manifest(tmp, pair_manifest({})),
+        "--out", str(tmp / "missing" / "x")], "cannot open output"),
+    "identities-out-unwritable": (lambda tmp: [
+        "identities", "--trials", "2", "--out", str(tmp / "missing" / "x")],
+        "cannot open output"),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("case", list(INPUT_ERRORS))
+    def test_exits_two_with_one_error_line(self, case, tmp_path, capsys):
+        argv, named = INPUT_ERRORS[case]
+        assert main(argv(tmp_path)) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert named in lines[0]
+        assert captured.out == ""

@@ -220,7 +220,51 @@ class TestMembersByLinearity:
                               ref.wit["gamma_linearity"])
 
 
+def constant_curvature_by_point(g, K, points):
+    """Reference: check_constant_curvature as a loop over the points."""
+    eye = np.eye(g.dim)
+    pattern = K * (
+        np.einsum("il,jk->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
+    )
+    w = _Worst()
+    for p in np.atleast_2d(np.asarray(points)):
+        R = geometry_jet(g, p).riemann_upup
+        w.update("constant_curvature",
+                 np.max(np.abs(R - pattern)) / (1.0 + abs(K)), p)
+    return w
+
+
+SPHERE = MetricField.diagonal(
+    [expr.parse("1", 2), expr.parse("1/sin(u1)^2", 2)])
+
+
 class TestConstantCurvature:
+    @pytest.mark.parametrize("g, K, pts", [
+        (SPHERE, 1.0, PTS),
+        (SPHERE, 2.0, PTS),
+        (SPHERE, 1.0, PTS[3]),
+        (MetricField.diagonal([expr.parse("exp(u1*u2)", 2),
+                               expr.parse("1+u2^2", 2)]), 0.5, PTS),
+    ])
+    def test_batch_equals_point_loop(self, g, K, pts):
+        r = check_constant_curvature(g, K, pts)
+        ref = constant_curvature_by_point(g, K, pts)
+        assert r.max_residuals == ref.res
+        assert np.array_equal(r.witnesses["constant_curvature"],
+                              ref.wit["constant_curvature"])
+
+    def test_degenerate_point_as_in_point_loop(self):
+        g = MetricField.diagonal([expr.parse("u1-1", 2), expr.parse("1", 2)])
+        pts = PTS.copy()
+        pts[[2, 5], 0] = 1.0
+        with pytest.raises(DegenerateMetric) as batch:
+            check_constant_curvature(g, 1.0, pts)
+        with pytest.raises(DegenerateMetric) as loop:
+            constant_curvature_by_point(g, 1.0, pts)
+        assert np.array_equal(batch.value.point, loop.value.point)
+        assert np.array_equal(batch.value.point, pts[2])
+        assert batch.value.absdet == loop.value.absdet
+
     def test_flat_metric(self):
         r = check_constant_curvature(EYE2, 0.0, PTS)
         assert r.passed

@@ -1,6 +1,8 @@
-"""The demo scripts and the demo manifest run to completion."""
+"""The demo scripts, the demo manifest and README's quick start run to
+completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +38,12 @@ def test_three_demo_scripts():
     assert [p.name for p in DEMOS] == [
         "conformal_counterexample.py", "dressing_pipeline.py",
         "two_component_pencils.py"]
+
+
+def test_readme_quick_start_prints_its_verdicts(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    proc = run(["-c", block], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False", "False"]

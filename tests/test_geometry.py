@@ -1,5 +1,7 @@
 """Christoffel symbols, curvature, affinor, Nijenhuis/M tensors, eigenvalues."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from flatpencil.errors import DegenerateMetric
 from flatpencil.geometry import (
     CONTRAVARIANT,
     COVARIANT,
+    GeometryJet,
     MetricField,
     affinor_at,
     geometry_jet,
@@ -22,6 +25,21 @@ def polar_covariant():
     return MetricField.diagonal(
         [expr.parse("1", 2), expr.parse("u1^2", 2)], COVARIANT
     )
+
+
+def nondiagonal_3d(shift=0.0):
+    """A 3-D contravariant metric with every entry non-constant."""
+    e = lambda text: expr.parse(text, 3)
+    return MetricField.from_upper(
+        {(0, 0): e(f"{2 + shift}+u1*u3"), (0, 1): e("u2/5"),
+         (0, 2): e("sin(u2)/9"), (1, 1): e("3+exp(u1/3)"),
+         (1, 2): e(f"u1*u2/{7 + shift}"), (2, 2): e("4+u3^2")},
+        CONTRAVARIANT,
+    )
+
+
+def points(dim, count=4, seed=3):
+    return np.random.default_rng(seed).uniform(0.3, 1.5, size=(count, dim))
 
 
 class TestMetricField:
@@ -238,3 +256,49 @@ class TestLinearCombination:
         comb = linear_combination(2.0, g1, -1.0, g2)
         v = comb.values([3.0, 4.0])
         assert v == pytest.approx(np.diag([5.0, 7.0]))
+
+
+class TestBatchContract:
+    """A batch of points gives the stack of the single-point results, bit
+    for bit, with the batch axes leading."""
+
+    @pytest.mark.parametrize("make", [nondiagonal_3d, polar_covariant])
+    def test_geometry_jet(self, make):
+        g = make()
+        pts = points(g.dim)
+        batch = geometry_jet(g, pts)
+        singles = [geometry_jet(g, p) for p in pts]
+        for f in fields(GeometryJet):
+            stack = np.stack([getattr(j, f.name) for j in singles])
+            assert np.array_equal(getattr(batch, f.name), stack), f.name
+        grid = geometry_jet(g, pts.reshape(2, 2, g.dim)).riemann_upup
+        assert np.array_equal(grid,
+                              batch.riemann_upup.reshape(grid.shape))
+
+    @pytest.mark.parametrize("pair", [
+        (nondiagonal_3d(), nondiagonal_3d(shift=1.5)),
+        (polar_covariant(), MetricField.from_upper(
+            {(0, 0): expr.parse("2+u2", 2), (0, 1): expr.parse("u1*u2", 2),
+             (1, 1): expr.parse("3+u1^2", 2)}, CONTRAVARIANT)),
+    ])
+    def test_pair_tensors(self, pair):
+        g1, g2 = pair
+        pts = points(g1.dim)
+        a = affinor_at(g1, g2, pts)
+        singles = [affinor_at(g1, g2, p) for p in pts]
+        assert np.array_equal(a.v, np.stack([s.v for s in singles]))
+        assert np.array_equal(a.dv, np.stack([s.dv for s in singles]))
+        assert np.array_equal(nijenhuis(a),
+                              np.stack([nijenhuis(s) for s in singles]))
+        assert np.array_equal(tensor_M(g1, g2, pts),
+                              np.stack([tensor_M(g1, g2, p) for p in pts]))
+
+    def test_degenerate_batch_names_first_bad_point(self):
+        g = MetricField.diagonal([expr.parse("u1-1", 2), expr.parse("1", 2)])
+        pts = points(2, count=6)
+        pts[2] = [1.0 + 1e-12, 0.5]
+        pts[4] = [1.0 + 3e-12, 0.9]
+        with pytest.raises(DegenerateMetric) as exc:
+            geometry_jet(g, pts)
+        assert np.array_equal(exc.value.point, pts[2])
+        assert exc.value.absdet == abs(np.linalg.det(g.values(pts[2])))

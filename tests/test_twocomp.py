@@ -7,14 +7,15 @@ import pytest
 from flatpencil import expr
 from flatpencil.compat import (
     MetricPair,
+    _Worst,
     check_almost_compatible,
     check_compatible,
     check_flat_pencil,
     full_report,
     sample_points,
 )
-from flatpencil.errors import DomainError
-from flatpencil.geometry import CONTRAVARIANT, MetricField
+from flatpencil.errors import DegenerateMetric, DomainError
+from flatpencil.geometry import CONTRAVARIANT, MetricField, geometry_jet
 from flatpencil.twocomp import (
     TwoCompModel,
     assemble_two_metrics,
@@ -189,7 +190,48 @@ class TestAssembly:
         assert not check_flat_pencil(MetricPair(g1, g2, PTS)).passed
 
 
+def pencil_by_point(K, metrics, pts):
+    """Reference: the residuals of constant_curvature_pencil as loops over
+    the points."""
+    eye = np.eye(2)
+    pattern = K * (
+        np.einsum("il,jk->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
+    )
+    w = _Worst()
+    for n in range(3):
+        for p in pts:
+            j = geometry_jet(metrics[n], p)
+            scale = 1.0 + max(np.max(np.abs(j.g_up)),
+                              np.max(np.abs(j.gamma_contra)))
+            w.update(f"flatness_G{n}", np.max(np.abs(j.riemann_upup)) / scale,
+                     p)
+    for p in pts:
+        R = geometry_jet(metrics[3], p).riemann_upup
+        w.update("curvature_G3", np.max(np.abs(R - pattern)) / (1.0 + abs(K)),
+                 p)
+    return w
+
+
+def harmonic_by_point(a, pts):
+    """Reference: harmonic_flatness with its curvature half as a loop over
+    the points."""
+    g = MetricField.diagonal([expr.exp(a), expr.exp(a)], CONTRAVARIANT)
+    hess = a.eval_jet(pts, 2).hess
+    lap = np.max(np.abs(hess[:, 0, 0] + hess[:, 1, 1]))
+    curv = np.max([np.max(np.abs(geometry_jet(g, p).riemann_upup))
+                   for p in pts])
+    return float(lap), float(curv)
+
+
 class TestConstantCurvaturePencil:
+    @pytest.mark.parametrize("K", [1.0, -1.0, 0.3])
+    def test_batch_equals_point_loop(self, K):
+        metrics, r = constant_curvature_pencil(K, PTS)
+        ref = pencil_by_point(K, metrics, PTS)
+        assert r.max_residuals == ref.res
+        for key, wit in ref.wit.items():
+            assert np.array_equal(r.witnesses[key], wit), key
+
     @pytest.mark.parametrize("K", [1.0, 2.0, -1.0])
     def test_three_flat_one_curved(self, K):
         metrics, r = constant_curvature_pencil(K, PTS)
@@ -216,6 +258,23 @@ class TestConstantCurvaturePencil:
 
 
 class TestConformalCheckers:
+    @pytest.mark.parametrize("text", ["u1^2 - u2^2", "u1^2 + u2^2",
+                                      "2*ln(1 + (u1^2+u2^2)/4)"])
+    def test_batch_equals_point_loop(self, text):
+        a = expr.parse(text, 2)
+        assert harmonic_flatness(a, PTS) == harmonic_by_point(a, PTS)
+
+    def test_degenerate_point_as_in_point_loop(self):
+        # det = exp(-1600*u1) underflows to zero: the metric is degenerate
+        a = expr.parse("-800*u1", 2)
+        pts = np.array([[0.5, 0.5], [1.0, 1.0], [2.0, 0.1]])
+        with pytest.raises(DegenerateMetric) as batch:
+            harmonic_flatness(a, pts)
+        with pytest.raises(DegenerateMetric) as loop:
+            harmonic_by_point(a, pts)
+        assert np.array_equal(batch.value.point, loop.value.point)
+        assert batch.value.absdet == loop.value.absdet
+
     def test_harmonic_a_gives_flat_metric(self):
         a = expr.parse("u1^2 - u2^2", 2)
         lap, curv = harmonic_flatness(a, PTS)

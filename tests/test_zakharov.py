@@ -174,6 +174,12 @@ class TestIntegralEquation:
         assert np.all(np.isfinite(sol.values[:, :, 3, :]))
         assert np.all(np.isnan(sol.values[:, :, 4, :]))
 
+    @pytest.mark.parametrize("row", [17, 100, -1, 2.0, True])
+    def test_row_outside_nodes_rejected(self, row):
+        k = build_kernel(gaussian_problem(m=17))
+        with pytest.raises(ValueError, match=f"row {row!r} .* 0..16"):
+            solve_integral_equation(k, rows=[0, row])
+
 
 class TestExtractBeta:
     def test_index_order_transposed_diagonal(self):
