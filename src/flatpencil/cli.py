@@ -44,7 +44,6 @@ from .geometry import (
 from .lame import (
     LameData,
     lame_residuals,
-    reduction_residual,
     rotation_from_H,
     assemble_pair,
     write_beta_grid,
@@ -66,11 +65,38 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_real(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and math.isfinite(x)
+
+
+def _read(cfg, key, default, ok, what):
+    """cfg[key] (or the default) if ok(value) holds; otherwise a
+    ManifestError saying the field must be `what`."""
+    value = cfg.get(key, default)
+    if not ok(value):
+        raise ManifestError(f"{key!r} must be {what}, not {value!r}")
+    return value
+
+
+def _real(cfg, key, default):
+    return float(_read(cfg, key, default, _is_real, "a finite number"))
+
+
+def _fields(job, key, expressions, dim):
+    """job[key]: a list of expression strings, parsed over dim variables."""
+    texts = _read(job, key, None, lambda v: isinstance(v, list) and all(
+        isinstance(t, str) for t in v), "a list of expression strings")
+    return [_parse_field(_resolve(t, expressions), dim, key) for t in texts]
+
+
+def _positive_int(cfg, key, default):
+    return _read(cfg, key, default, lambda v: _is_int(v) and v >= 1,
+                 "a positive integer")
+
+
 def _dim(job, manifest):
-    dim = job.get("dim", manifest.get("dim"))
-    if not _is_int(dim) or dim < 1:
-        raise ManifestError(f"'dim' must be a positive integer, not {dim!r}")
-    return dim
+    return _positive_int(job, "dim", manifest.get("dim"))
 
 
 def _parse_field(text, dim, name):
@@ -80,7 +106,12 @@ def _parse_field(text, dim, name):
         raise ManifestError(f"bad expression for {name!r}: {exc}") from exc
 
 
-def _build_metric(spec, dim, expressions, name):
+def _build_metric(job, key, manifest, dim):
+    """The metric that job[key] names among the manifest's metrics."""
+    name, metrics = job[key], manifest.get("metrics", {})
+    if not isinstance(name, str) or name not in metrics:
+        raise ManifestError(f"metric {name!r} is not defined")
+    spec, expressions = metrics[name], manifest.get("expressions", {})
     if isinstance(spec, str):
         spec = {"ref": spec}
     if "identity" in spec:
@@ -118,29 +149,27 @@ def _resolve(text, expressions):
 
 
 def _sampling(job, dim, seed):
-    cfg = job.get("sampling", {})
-    if not isinstance(cfg, dict):
-        raise ManifestError("'sampling' must be an object")
-    count = cfg.get("count", 10)
-    if not _is_int(count) or count < 1:
-        raise ManifestError(
-            f"sampling count must be a positive integer, not {count!r}")
+    cfg = _read(job, "sampling", {}, lambda v: isinstance(v, dict),
+                "an object")
     return sample_points(
         dim,
-        count,
+        _positive_int(cfg, "count", 10),
         seed=seed,
-        lo=cfg.get("lo", 0.2),
-        hi=cfg.get("hi", 2.0),
-        min_sep=cfg.get("min_sep", 0.0),
+        lo=_real(cfg, "lo", 0.2),
+        hi=_real(cfg, "hi", 2.0),
+        min_sep=_real(cfg, "min_sep", 0.0),
     )
 
 
 def _lambdas(job, seed):
-    if "lambdas" in job:
-        return [
-            (complex(l1), complex(l2)) for l1, l2 in job["lambdas"]
-        ]
-    return default_lambda_samples(seed)
+    if "lambdas" not in job:
+        return default_lambda_samples(seed)
+    try:
+        return [(complex(l1), complex(l2)) for l1, l2 in job["lambdas"]]
+    except (TypeError, ValueError):
+        raise ManifestError(
+            "'lambdas' must be a list of [l1, l2] number pairs, "
+            f"not {job['lambdas']!r}") from None
 
 
 def _number(x):
@@ -180,16 +209,10 @@ def _dumps(report):
 
 def _run_pair_job(job, manifest, seed, tol):
     dim = _dim(job, manifest)
-    expressions = manifest.get("expressions", {})
-    metrics = manifest.get("metrics", {})
-    for name in (job["g1"], job["g2"]):
-        if name not in metrics:
-            raise ManifestError(f"metric {name!r} is not defined")
-    g1 = _build_metric(metrics[job["g1"]], dim, expressions, job["g1"])
-    g2 = _build_metric(metrics[job["g2"]], dim, expressions, job["g2"])
+    g1, g2 = (_build_metric(job, key, manifest, dim) for key in ("g1", "g2"))
     pts = _sampling(job, dim, seed)
     pair = MetricPair(g1, g2, pts, lambda_samples=_lambdas(job, seed),
-                      tol=job.get("tol", tol))
+                      tol=_real(job, "tol", tol))
     if job["kind"] == "flat-pencil":
         rep = full_report(pair)
         verdicts = {
@@ -216,16 +239,14 @@ def _run_pair_job(job, manifest, seed, tol):
 def _run_lame_job(job, manifest, seed, tol):
     dim = _dim(job, manifest)
     expressions = manifest.get("expressions", {})
-    H = [_parse_field(_resolve(t, expressions), dim, "H") for t in job["H"]]
-    f = [_parse_field(_resolve(t, expressions), 1, "f") for t in job["f"]]
+    H = _fields(job, "H", expressions, dim)
+    f = _fields(job, "f", expressions, 1)
     data = LameData(H, f)
     pts = _sampling(job, dim, seed)
-    rot = rotation_from_H(data)
-    r1, r2 = lame_residuals(rot, pts)
-    r3 = reduction_residual(rot, f, pts)
+    r1, r2, r3 = lame_residuals(rotation_from_H(data), pts, f)
     g1, g2 = assemble_pair(data)
     pair = MetricPair(g1, g2, pts, lambda_samples=_lambdas(job, seed),
-                      tol=job.get("tol", tol))
+                      tol=_real(job, "tol", tol))
     flat = check_flat_pencil(pair)
     residual_side = all(r < pair.tol for r in (r1, r2, r3))
     verdicts = {
@@ -241,17 +262,20 @@ def _run_lame_job(job, manifest, seed, tol):
 def _run_twocomp_job(job, manifest, seed, tol):
     expressions = manifest.get("expressions", {})
     get = lambda key: _resolve(job[key], expressions)
+    eps = _read(job, "eps", [-1, 1],
+                lambda v: isinstance(v, list) and len(v) == 2
+                and all(_is_real(e) and e in (-1, 1) for e in v),
+                "a pair of signs, each -1 or 1")
     m = TwoCompModel(
         _parse_field(get("b1"), 2, "b1"),
         _parse_field(get("b2"), 2, "b2"),
         _parse_field(get("F"), 2, "F"),
-        int(job.get("eps", [-1, 1])[0]),
-        int(job.get("eps", [-1, 1])[1]),
+        *map(int, eps),
         _parse_field(get("f1"), 1, "f1"),
         _parse_field(get("f2"), 1, "f2"),
     )
     pts = _sampling(job, 2, seed)
-    job_tol = job.get("tol", tol)
+    job_tol = _real(job, "tol", tol)
     sys_check = check_sys(m, pts, job_tol)
     lequa_check = check_lequa(m, pts, job_tol)
     g1, g2 = assemble_two_metrics(m)
@@ -273,20 +297,22 @@ def _run_dressing_job(job, manifest, seed, tol):
     expressions = manifest.get("expressions", {})
     dim = _dim(job, manifest)
     phi = {}
-    for key, text in job["phi"].items():
+    for key, text in _read(job, "phi", None, lambda v: isinstance(v, dict),
+                           'an object of "i,j" potentials').items():
         i, j = (int(t) for t in key.split(","))
         phi[(i, j)] = _parse_field(_resolve(text, expressions), 2, key)
-    f = None
-    if "f" in job:
-        f = [
-            _parse_field(_resolve(t, expressions), 1, "f") for t in job["f"]
-        ]
+    f = _fields(job, "f", expressions, 1) if "f" in job else None
+    u = _read(job, "u", None,
+              lambda v: isinstance(v, list) and all(map(_is_real, v)),
+              "a list of numbers")
     p = DressingProblem(
-        dim, phi, np.asarray(job["u"], dtype=float),
-        job.get("s_min", 0.0), job.get("s_max", 1.0), job.get("m", 64), f
+        dim, phi, np.asarray(u, dtype=float),
+        _real(job, "s_min", 0.0), _real(job, "s_max", 1.0),
+        _read(job, "m", 64, _is_int, "an integer"), f
     )
     kernel = build_kernel(p)
-    rows = job.get("rows", [0])
+    rows = _read(job, "rows", [0], lambda v: isinstance(v, list),
+                 "a list of node indices")
     sol = solve_integral_equation(kernel, rows=rows)
     beta = extract_beta(sol)
     if "out_beta" in job:
@@ -365,6 +391,9 @@ def identity_residuals(g1, g2, point):
 
 def run_identities(trials, seed):
     """Random-pair identity sweep; deterministic report for a fixed seed."""
+    if not _is_int(trials) or trials < 1:
+        raise ValueError(
+            f"'trials' must be a positive integer, not {trials!r}")
     rng = np.random.default_rng(seed)
     worst = _Worst()
     checked = 0
@@ -390,34 +419,26 @@ def run_identities(trials, seed):
     }
 
 
-_PAIR_KINDS = {"pair-check", "flat-pencil"}
+def _run_identities_job(job, manifest, seed, tol):
+    rep = run_identities(job.get("trials", 10), seed)
+    return ({"all_identities_hold": rep["all_below_1e-8"]},
+            rep["max_relative_residuals"], {})
 
 
 def _run_job(idx, job, manifest, seed, tol):
     kind = job.get("kind")
-    t0 = time.perf_counter()
-    if kind in _PAIR_KINDS:
-        verdicts, residuals, witnesses = _run_pair_job(job, manifest, seed, tol)
-    elif kind == "lame-check":
-        verdicts, residuals, witnesses = _run_lame_job(job, manifest, seed, tol)
-    elif kind == "two-component":
-        verdicts, residuals, witnesses = _run_twocomp_job(
-            job, manifest, seed, tol
-        )
-    elif kind == "dressing":
-        verdicts, residuals, witnesses = _run_dressing_job(
-            job, manifest, seed, tol
-        )
-    elif kind == "identities":
-        rep = run_identities(job.get("trials", 10), seed)
-        verdicts = {"all_identities_hold": rep["all_below_1e-8"]}
-        residuals = rep["max_relative_residuals"]
-        witnesses = {}
-    else:
+    runners = {"pair-check": _run_pair_job, "flat-pencil": _run_pair_job,
+               "lame-check": _run_lame_job, "two-component": _run_twocomp_job,
+               "dressing": _run_dressing_job,
+               "identities": _run_identities_job}
+    if not isinstance(kind, str) or kind not in runners:
         raise ManifestError(f"job {idx}: unknown kind {kind!r}")
-
+    assertions = _read(job, "assert", {}, lambda v: isinstance(v, dict),
+                       "an object of expected verdicts")
+    t0 = time.perf_counter()
+    verdicts, residuals, witnesses = runners[kind](job, manifest, seed, tol)
     ok = True
-    for key, expected in job.get("assert", {}).items():
+    for key, expected in assertions.items():
         if key not in verdicts:
             raise ManifestError(f"job {idx}: no verdict named {key!r}")
         if verdicts[key] != expected:
@@ -472,6 +493,9 @@ def _cmd_run(args):
 
 
 def _cmd_identities(args):
+    if args.trials < 1:
+        return _error(
+            f"--trials must be a positive integer, not {args.trials}")
     try:
         out = open(args.out, "w") if args.out else sys.stdout
     except OSError as exc:

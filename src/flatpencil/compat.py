@@ -41,16 +41,15 @@ from .geometry import (
 DEFAULT_TOL = 1e-8
 
 
-def sample_points(dim, count, seed=0, lo=0.2, hi=2.0, min_sep=0.0,
-                  max_tries=1000):
+def sample_points(dim, count, seed=0, lo=0.2, hi=2.0, min_sep=0.0):
     """Seeded random real sample points in [lo, hi]^dim.
 
     min_sep > 0 rejects points with any |u^i - u^j| below it (used to stay
-    off singular diagonals).
+    off singular diagonals); up to 1000 draws are made.
     """
     rng = np.random.default_rng(seed)
     pts = []
-    for _ in range(max_tries):
+    for _ in range(1000):
         if len(pts) == count:
             break
         p = rng.uniform(lo, hi, size=dim)

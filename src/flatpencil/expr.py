@@ -10,6 +10,7 @@ All arithmetic is complex; principal branches are used for ln and sqrt.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -184,25 +185,20 @@ def _sym_pair(h, v):
     return t + np.swapaxes(t, -1, -2) + np.moveaxis(t, -1, -3)
 
 
-def _mirror2(t):
-    n = t.shape[-1]
-    for a in range(n):
-        for b in range(a + 1, n):
-            t[..., b, a] = t[..., a, b]
-    return t
+@functools.cache
+def _mirror_index(n, rank):
+    """(dst, src) index tuples over the last `rank` axes: every unsorted
+    index tuple and its sorted representative."""
+    idx = np.array(list(itertools.product(range(n), repeat=rank)))
+    rep = np.sort(idx, axis=1)
+    moved = np.any(idx != rep, axis=1)
+    return ((Ellipsis, *idx[moved].T), (Ellipsis, *rep[moved].T))
 
 
-def _mirror3(t):
-    n = t.shape[-1]
-    for a in range(n):
-        for b in range(a, n):
-            for c in range(b, n):
-                v = t[..., a, b, c]
-                t[..., a, c, b] = v
-                t[..., b, a, c] = v
-                t[..., b, c, a] = v
-                t[..., c, a, b] = v
-                t[..., c, b, a] = v
+def _symmetrize(t, rank):
+    """Copy each sorted-index entry of t to its permutations, in place."""
+    dst, src = _mirror_index(t.shape[-1], rank)
+    t[dst] = t[src]
     return t
 
 
@@ -268,19 +264,17 @@ class Jet:
         if f.order >= 1:
             out.grad = f.grad * gv + fv * g.grad
         if f.order >= 2:
-            out.hess = _mirror2(
+            out.hess = _symmetrize(
                 f.hess * gv[..., None]
                 + _outer(f.grad, g.grad)
                 + _outer(g.grad, f.grad)
-                + fv[..., None] * g.hess
-            )
+                + fv[..., None] * g.hess, 2)
         if f.order >= 3:
-            out.third = _mirror3(
+            out.third = _symmetrize(
                 f.third * gv[..., None, None]
                 + _sym_pair(f.hess, g.grad)
                 + _sym_pair(g.hess, f.grad)
-                + fv[..., None, None] * g.third
-            )
+                + fv[..., None, None] * g.third, 3)
         return out
 
     def compose(self, derivs):
@@ -294,18 +288,16 @@ class Jet:
         if self.order >= 1:
             out.grad = d[1][..., None] * self.grad
         if self.order >= 2:
-            out.hess = _mirror2(
+            out.hess = _symmetrize(
                 d[1][..., None, None] * self.hess
-                + d[2][..., None, None] * _outer(self.grad, self.grad)
-            )
+                + d[2][..., None, None] * _outer(self.grad, self.grad), 2)
         if self.order >= 3:
             g1 = self.grad
-            out.third = _mirror3(
+            out.third = _symmetrize(
                 d[1][..., None, None, None] * self.third
                 + d[2][..., None, None, None] * _sym_pair(self.hess, g1)
                 + d[3][..., None, None, None]
-                * np.einsum("...a,...b,...c->...abc", g1, g1, g1)
-            )
+                * np.einsum("...a,...b,...c->...abc", g1, g1, g1), 3)
         return out
 
     def reciprocal(self):

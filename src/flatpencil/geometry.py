@@ -141,27 +141,26 @@ def _entry_jets(g, point, order):
     return V, d, d2
 
 
-def _checked_inverse(V, point, degeneracy_tol):
+def _checked_inverse(V, point):
     """inv(V) of shape (..., n, n); DegenerateMetric names the first point
     in batch order whose |det V| is tiny for its own V."""
     n = V.shape[-1]
     scale = np.maximum(1.0, np.abs(V).max(axis=(-2, -1)))
     det = np.linalg.det(V)
-    bad = np.abs(det) < degeneracy_tol * scale**n
+    bad = np.abs(det) < DEGENERACY_TOL * scale**n
     if bad.any():
         k = np.unravel_index(np.argmax(bad), bad.shape)
         raise DegenerateMetric(np.asarray(point)[k], abs(det[k]))
     return np.linalg.inv(V)
 
 
-def _geometry_from_entries(V, d, d2, variance, point,
-                           degeneracy_tol=DEGENERACY_TOL):
+def _geometry_from_entries(V, d, d2, variance, point):
     """GeometryJet at `point` (n,) or (..., n) from order-2 entry jets.
 
     The entry jets of a pencil member l1*g1 + l2*g2 are l1*E1 + l2*E2,
     exactly, so members need no expression of their own.
     """
-    W = _checked_inverse(V, point, degeneracy_tol)
+    W = _checked_inverse(V, point)
     # d_k W = -W d_k V W and d_l d_k W, with k (and l) as matmul batch axes
     Wk, dk = W[..., None, :, :], d[..., :, None, :, :]
     dW = -Wk @ d @ Wk
@@ -219,15 +218,14 @@ def _geometry_from_entries(V, d, d2, variance, point,
     )
 
 
-def geometry_jet(g, point, degeneracy_tol=DEGENERACY_TOL):
+def geometry_jet(g, point):
     """Metric inverse, Christoffel symbols and curvature at a point or batch.
 
     The Levi-Civita connection comes from the covariant entries; curvature
     needs second metric derivatives, supplied exactly by the jets.
     """
     pt = np.asarray(point, dtype=complex)
-    return _geometry_from_entries(*_entry_jets(g, pt, 2), g.variance, pt,
-                                  degeneracy_tol)
+    return _geometry_from_entries(*_entry_jets(g, pt, 2), g.variance, pt)
 
 
 def affinor_from_jets(j1, j2):
@@ -239,11 +237,10 @@ def affinor_from_jets(j1, j2):
     return Affinor(v=v, dv=dv)
 
 
-def affinor_at(g1, g2, point, degeneracy_tol=DEGENERACY_TOL):
+def affinor_at(g1, g2, point):
     """v^i_j = g1^{is} g_{2,sj} and its first partials at a point or batch."""
     pt = np.asarray(point, dtype=complex)
-    return affinor_from_jets(geometry_jet(g1, pt, degeneracy_tol),
-                             geometry_jet(g2, pt, degeneracy_tol))
+    return affinor_from_jets(geometry_jet(g1, pt), geometry_jet(g2, pt))
 
 
 def nijenhuis(a):
@@ -272,11 +269,10 @@ def tensor_M_from_jets(j1, j2):
     )
 
 
-def tensor_M(g1, g2, point, degeneracy_tol=DEGENERACY_TOL):
+def tensor_M(g1, g2, point):
     """Obstruction tensor M^{ijk} built from both contravariant connections."""
     pt = np.asarray(point, dtype=complex)
-    return tensor_M_from_jets(geometry_jet(g1, pt, degeneracy_tol),
-                              geometry_jet(g2, pt, degeneracy_tol))
+    return tensor_M_from_jets(geometry_jet(g1, pt), geometry_jet(g2, pt))
 
 
 def roots_and_gap(v):
@@ -295,13 +291,13 @@ def roots_and_gap(v):
     return roots, np.min(dist[np.triu_indices(len(roots), 1)], initial=np.inf)
 
 
-def pencil_eigenvalues(g1, g2, point, degeneracy_tol=DEGENERACY_TOL):
+def pencil_eigenvalues(g1, g2, point):
     """Roots of det(g1 - lambda g2) = 0, sorted by (Re, Im), plus min gap."""
     if g1.variance != CONTRAVARIANT:
         raise ValueError("pencil eigenvalues expect contravariant metrics")
     pt = np.asarray(point, dtype=complex)
     up1 = _entry_jets(g1, pt, 0)[0]
-    _checked_inverse(up1, pt, degeneracy_tol)
+    _checked_inverse(up1, pt)
     V2 = _entry_jets(g2, pt, 0)[0]
-    W2 = _checked_inverse(V2, pt, degeneracy_tol)
+    W2 = _checked_inverse(V2, pt)
     return roots_and_gap(up1 @ (W2 if g2.variance == CONTRAVARIANT else V2))

@@ -10,7 +10,7 @@ value/derivative interface.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -49,7 +49,6 @@ class RotationCoeffs:
     """
 
     dim: int
-    provenance: str
     _value: Callable[[np.ndarray], np.ndarray]
     _jet: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     beta_fields: Optional[List[List[ScalarField]]] = None
@@ -69,7 +68,7 @@ class RotationCoeffs:
         return np.array(B), np.array(D)
 
     @staticmethod
-    def from_fields(beta_fields, provenance="fields"):
+    def from_fields(beta_fields):
         n = len(beta_fields)
 
         def jet(points):
@@ -84,11 +83,10 @@ class RotationCoeffs:
                         der[..., :, i, j] = entry.grad
             return val, der
 
-        return RotationCoeffs(n, provenance, lambda u: jet(u)[0], jet,
-                              beta_fields)
+        return RotationCoeffs(n, lambda u: jet(u)[0], jet, beta_fields)
 
     @staticmethod
-    def from_callable(dim, fn, step=FD_STEP, provenance="from-dressing"):
+    def from_callable(dim, fn):
         """fn(u) -> (N, N) beta matrix; partials by 4th-order differences.
 
         A reference route only: the library's own sources (fields and
@@ -100,26 +98,26 @@ class RotationCoeffs:
             out = np.zeros((dim, dim, dim), dtype=complex)
             for k in range(dim):
                 e = np.zeros(dim)
-                e[k] = step
+                e[k] = FD_STEP
                 out[k] = (
                     -fn(point + 2 * e) + 8 * fn(point + e)
                     - 8 * fn(point - e) + fn(point - 2 * e)
-                ) / (12 * step)
+                ) / (12 * FD_STEP)
             return fn(point), out
 
-        return RotationCoeffs(dim, provenance, fn, jet, None)
+        return RotationCoeffs(dim, fn, jet)
+
+
+def _field_rotation(n, entry):
+    """Field-backed beta_ik = entry(i, k) for i != k, zero on the diagonal."""
+    zero = constant(0.0, n)
+    return RotationCoeffs.from_fields([[zero if i == k else entry(i, k)
+                                        for k in range(n)] for i in range(n)])
 
 
 def rotation_from_H(d):
     """beta_ik = (1/H_i) dH_k/du^i for i != k; diagonal entries unused."""
-    n = d.dim
-    zero = constant(0.0, n)
-    beta = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if i != k:
-                beta[i][k] = d.H[k].partial(i) / d.H[i]
-    return RotationCoeffs.from_fields(beta, provenance="from-H")
+    return _field_rotation(d.dim, lambda i, k: d.H[k].partial(i) / d.H[i])
 
 
 def _outside(n):
@@ -128,48 +126,48 @@ def _outside(n):
     return (s[:, None, None] != s[:, None]) & (s[:, None, None] != s)
 
 
-def lame_residuals(b, points):
-    """(res_system, res_divergence): the two orthogonal-system equation sets.
-
-    System equations: d beta_ij / du^k = beta_ik beta_kj for distinct i,j,k
-    (vacuous at N=2).  Divergence equations: d beta_ij / du^i
-    + d beta_ji / du^j + sum_{s != i,j} beta_si beta_sj = 0 for i != j.
-    """
-    n = b.dim
-    B, D = b.jet(np.atleast_2d(np.asarray(points, dtype=float)))
-    outside = _outside(n)
-    off = ~np.eye(n, dtype=bool)
-    # [p, k, i, j]: d beta_ij / du^k - beta_ik beta_kj
-    system = D - np.swapaxes(B, 1, 2)[..., None] * B[:, :, None, :]
-    dD = np.einsum("piij->pij", D)  # d beta_ij / du^i
-    acc = dD + np.swapaxes(dD, 1, 2)
-    for s, keep in enumerate(outside):
-        acc += np.where(keep, B[:, s, :, None] * B[:, s, None, :], 0)
-    return (float(np.max(np.abs(system[:, outside & off]), initial=0.0)),
-            float(np.max(np.abs(acc[:, off]), initial=0.0)))
-
-
-def reduction_residual(b, f, points):
-    """Residual of the linear-in-f reduction, for i != j:
-
-    f^i b_ij,i + (f^i)'/2 b_ij + f^j b_ji,j + (f^j)'/2 b_ji
-    + sum_{s != i,j} f^s b_si b_sj = 0.
-    """
-    n = b.dim
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    B, D = b.jet(pts)
-    jets = [fi.eval_jet(pts[:, i:i + 1], 1) for i, fi in enumerate(f)]
-    fv = np.stack([j.value for j in jets], axis=-1)  # (P, N)
-    half_fd = 0.5 * np.stack([j.grad[:, 0] for j in jets], axis=-1)
+def _divergence(B, D, fv, half_fd):
+    """[p, i, j]: the reduction's left side from beta values B[p, i, j],
+    partials D[p, k, i, j], f^i values fv[p, i] and half_fd = (f^i)'/2."""
     # the i-terms at [p, i, j]; their transposes are the j-terms
     x = fv[:, :, None] * np.einsum("piij->pij", D)
     y = half_fd[:, :, None] * B
     acc = x + y + np.swapaxes(x, 1, 2) + np.swapaxes(y, 1, 2)
-    for s, keep in enumerate(_outside(n)):
+    for s, keep in enumerate(_outside(B.shape[-1])):
         acc += np.where(keep, fv[:, s, None, None] * B[:, s, :, None]
                         * B[:, s, None, :], 0)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    return float(np.max(np.abs(acc[:, upper]), initial=0.0))
+    return acc
+
+
+def lame_residuals(b, points, f=None):
+    """(system, divergence), or with eigenvalue functions f also the
+    reduction: all three residuals from one b.jet call.
+
+    System equations: d beta_ij / du^k = beta_ik beta_kj for distinct i,j,k
+    (vacuous at N=2).  Reduction, for i < j:
+    f^i b_ij,i + (f^i)'/2 b_ij + f^j b_ji,j + (f^j)'/2 b_ji
+    + sum_{s != i,j} f^s b_si b_sj = 0.  The divergence equations are the
+    reduction at f = 1, checked for every i != j.
+    """
+    n = b.dim
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    B, D = b.jet(pts)
+    outside, off = _outside(n), ~np.eye(n, dtype=bool)
+    # [p, k, i, j]: d beta_ij / du^k - beta_ik beta_kj
+    system = D - np.swapaxes(B, 1, 2)[..., None] * B[:, :, None, :]
+    ones = np.ones(B.shape[:2])
+    res = [system[:, outside & off], _divergence(B, D, ones, 0 * ones)[:, off]]
+    if f is not None:
+        jets = [fi.eval_jet(pts[:, i:i + 1], 1) for i, fi in enumerate(f)]
+        fv = np.stack([j.value for j in jets], axis=-1)  # (P, N)
+        half_fd = 0.5 * np.stack([j.grad[:, 0] for j in jets], axis=-1)
+        res.append(_divergence(B, D, fv, half_fd)[:, np.triu(off)])
+    return tuple(float(np.max(np.abs(r), initial=0.0)) for r in res)
+
+
+def reduction_residual(b, f, points):
+    """Residual of the linear-in-f reduction (see lame_residuals)."""
+    return lame_residuals(b, points, f)[2]
 
 
 def scaled_rotation(b, f):
@@ -180,15 +178,9 @@ def scaled_rotation(b, f):
     """
     if b.beta_fields is None:
         raise ValueError("scaling requires a field-backed rotation")
-    n = b.dim
-    roots = [sqrt(embed(fi, i, n)) for i, fi in enumerate(f)]
-    zero = constant(0.0, n)
-    scaled = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if i != k:
-                scaled[i][k] = roots[i] * b.beta_fields[i][k] / roots[k]
-    return RotationCoeffs.from_fields(scaled, provenance=b.provenance)
+    roots = [sqrt(embed(fi, i, b.dim)) for i, fi in enumerate(f)]
+    return _field_rotation(
+        b.dim, lambda i, k: roots[i] * b.beta_fields[i][k] / roots[k])
 
 
 def assemble_pair(d):

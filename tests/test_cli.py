@@ -153,20 +153,13 @@ class TestLameAndTwoCompJobs:
 
 
     def test_lame_job_evaluates_each_beta_entry_once(self, tmp_path,
-                                                     monkeypatch):
+                                                     monkeypatch, count_calls):
         rotations = []
         real_rotation = cli.rotation_from_H
         monkeypatch.setattr(
             cli, "rotation_from_H",
             lambda d: rotations.append(real_rotation(d)) or rotations[-1])
-        calls = []
-        real = ScalarField.eval_jet
-
-        def counting(self, *args, **kwargs):
-            calls.append(self)
-            return real(self, *args, **kwargs)
-
-        monkeypatch.setattr(ScalarField, "eval_jet", counting)
+        calls = count_calls(ScalarField, "eval_jet")
         payload = {"version": 1, "dim": 2, "jobs": [{
             "kind": "lame-check", "H": ["exp(u1)", "1+u2^2"],
             "f": ["u1", "u1"], "sampling": {"count": 10},
@@ -175,9 +168,9 @@ class TestLameAndTwoCompJobs:
                      "--out", str(tmp_path / "out.ndjson")]) == 0
         beta = rotations[0].beta_fields
         entries = [beta[0][1], beta[1][0]]
-        # one batched evaluation per entry in each of lame_residuals and
-        # reduction_residual
-        assert sum(any(c is e for e in entries) for c in calls) == 4
+        # one batched evaluation per entry: the system, divergence and
+        # reduction residuals share one jet of beta
+        assert sum(any(c is e for e in entries) for c in calls) == 2
 
 
 class TestResidualSideFailsClosed:
@@ -188,10 +181,12 @@ class TestResidualSideFailsClosed:
 
     def test_lame_nan_divergence(self, tmp_path, capsys, monkeypatch):
         real = cli.lame_residuals
-        monkeypatch.setattr(
-            cli, "lame_residuals",
-            lambda b, pts: (real(b, pts)[0], float("nan")),
-        )
+
+        def nan_divergence(b, pts, f):
+            system, _, reduction = real(b, pts, f)
+            return system, float("nan"), reduction
+
+        monkeypatch.setattr(cli, "lame_residuals", nan_divergence)
         code, report = self.run_job(tmp_path, capsys, {
             "kind": "lame-check", "H": ["exp(u1)", "1+u2^2"],
             "f": ["u1", "u1"],
@@ -357,6 +352,19 @@ def _run(payload):
     return lambda tmp: ["run", write_manifest(tmp, payload)]
 
 
+def _one_job(**job):
+    return _run({"version": 1, "dim": 2, "jobs": [job]})
+
+
+LAME_JOB = {"kind": "lame-check", "H": ["exp(u1)", "1+u2^2"],
+            "f": ["u1", "u1"]}
+TWOCOMP_JOB = {"kind": "two-component", "b1": "sqrt(u1-u2)",
+               "b2": "sqrt(u1-u2)", "F": "0.5*ln(u1-u2)", "f1": "u1",
+               "f2": "u1", "sampling": {"min_sep": 0.3}}
+DRESSING_JOB = {"kind": "dressing", "phi": {"0,1": GAUSSIAN},
+                "u": [0.3, 0.4], "m": 9}
+
+
 def _diagonal_too_long():
     payload = pair_manifest({})
     payload["metrics"]["coord"]["diagonal"].append("u1")
@@ -381,6 +389,29 @@ INPUT_ERRORS = {
     "identities-out-unwritable": (lambda tmp: [
         "identities", "--trials", "2", "--out", str(tmp / "missing" / "x")],
         "cannot open output"),
+    "pair-tol-not-number": (_run(_with_job(kind="pair-check", tol="x")),
+                            "'tol'"),
+    "twocomp-tol-not-number": (_one_job(**TWOCOMP_JOB, tol="x"), "'tol'"),
+    "lambdas-not-pairs": (_run(_with_job(lambdas=3)), "'lambdas'"),
+    "min-sep-not-number": (_run(_with_job(sampling={"min_sep": "x"})),
+                           "'min_sep'"),
+    "lame-H-not-list": (_one_job(**{**LAME_JOB, "H": 3}), "'H'"),
+    "dressing-rows-not-list": (_one_job(**DRESSING_JOB, rows=3), "'rows'"),
+    "dressing-m-not-integer": (_one_job(**{**DRESSING_JOB, "m": "x"}),
+                               "'m'"),
+    "dressing-s-min-not-number": (_one_job(**DRESSING_JOB, s_min="x"),
+                                  "'s_min'"),
+    "dressing-phi-not-object": (_one_job(**{**DRESSING_JOB, "phi": 3}),
+                                "'phi'"),
+    "dressing-f-not-list": (_one_job(**DRESSING_JOB, f="u1"),
+                            "'f' must be a list"),
+    "identities-trials-not-integer": (
+        _one_job(kind="identities", trials="x"), "'trials'"),
+    "identities-trials-negative": (
+        _one_job(kind="identities", trials=-1), "'trials'"),
+    "identities-command-zero-trials": (
+        lambda tmp: ["identities", "--trials", "0"], "--trials"),
+    "assert-not-object": (_run(_with_job(**{"assert": 3})), "'assert'"),
 }
 
 

@@ -126,19 +126,13 @@ class TestFlatPencil:
 
 
 class TestSinglePass:
-    def test_full_report_one_jet_per_metric_and_member(self, monkeypatch):
+    def test_full_report_one_jet_per_metric_and_member(self, monkeypatch,
+                                                       count_calls):
         # members come from the entry jets of g1 and g2: each entry of the
         # two metrics is evaluated once per point, and no member expression
         # is built
-        calls = []
-        real = expr.ScalarField.eval_jet
-
-        def counting(self, *args, **kwargs):
-            calls.append(self)
-            return real(self, *args, **kwargs)
-
+        calls = count_calls(expr.ScalarField, "eval_jet")
         combined = []
-        monkeypatch.setattr(expr.ScalarField, "eval_jet", counting)
         monkeypatch.setattr(geometry, "linear_combination",
                             lambda *args: combined.append(args))
         g1 = MetricField.diagonal([expr.parse("u1", 2), expr.parse("u2", 2)])

@@ -150,6 +150,45 @@ class TestJets:
         assert jet.third[0, 0, 0] == pytest.approx(6.0)
 
 
+def mirror_loops(t, rank):
+    """The per-index-tuple loops that symmetrized jets before, kept as the
+    reference: each sorted-index entry is copied to its permutations."""
+    n = t.shape[-1]
+    if rank == 2:
+        for a in range(n):
+            for b in range(a + 1, n):
+                t[..., b, a] = t[..., a, b]
+        return t
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(b, n):
+                v = t[..., a, b, c]
+                t[..., a, c, b] = v
+                t[..., b, a, c] = v
+                t[..., b, c, a] = v
+                t[..., c, a, b] = v
+                t[..., c, b, a] = v
+    return t
+
+
+class TestSymmetrize:
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    def test_equals_index_loops(self, rank, n, batch):
+        rng = np.random.default_rng(10 * rank + n)
+        shape = batch + (n,) * rank
+        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = mirror_loops(t.copy(), rank)
+        got = expr._symmetrize(t, rank)
+        assert got is t
+        assert got.tobytes() == ref.tobytes()
+        # every entry now equals the one at its sorted index tuple
+        for idx in np.ndindex(*(n,) * rank):
+            assert np.array_equal(got[(...,) + idx],
+                                  got[(...,) + tuple(sorted(idx))])
+
+
 class TestDerivedFields:
     def test_partial_field(self):
         f = expr.parse("u1^2*u2", 2)

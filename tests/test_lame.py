@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flatpencil import expr
+from flatpencil import expr, zakharov
 from flatpencil.compat import MetricPair, check_flat_pencil, sample_points
 from flatpencil.lame import (
     LameData,
@@ -109,23 +109,10 @@ class TestFailClosed:
                 der[:] = np.nan
             return value(u), der
 
-        b = RotationCoeffs(2, "nan-partials", value, jet)
+        b = RotationCoeffs(2, value, jet)
         _, r2 = lame_residuals(b, PTS)
         assert not np.isfinite(r2)
         assert not np.isfinite(reduction_residual(b, F_ID, PTS))
-
-
-def count_calls(monkeypatch, cls, name):
-    """Wrap cls.name at class level; returns the list of recorded calls."""
-    calls = []
-    real = getattr(cls, name)
-
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(cls, name, counting)
-    return calls
 
 
 def pointwise_residuals(b, fv, fd, points):
@@ -169,7 +156,7 @@ class TestBatchedEvaluation:
             k = row[tuple(u)]
             return Bs[k], Ds[k]
 
-        b = RotationCoeffs(n, "random", lambda u: jet(u)[0], jet)
+        b = RotationCoeffs(n, lambda u: jet(u)[0], jet)
         texts = ("u1^2+1", "3*u1", "exp(u1)", "2-u1")[:n]
         f = [expr.parse(t, 1) for t in texts]
         fv = lambda p: [fi(p[i:i + 1]) for i, fi in enumerate(f)]
@@ -193,21 +180,127 @@ class TestBatchedEvaluation:
                 B1, D1 = src.jet(p)
                 assert np.array_equal(B[k], B1) and np.array_equal(D[k], D1)
 
-    def test_field_route_one_evaluation_per_entry(self, monkeypatch):
+    def test_field_route_one_evaluation_per_entry(self, count_calls):
         b = rotation_from_H(polar())
-        jets = count_calls(monkeypatch, expr.ScalarField, "eval_jet")
+        jets = count_calls(expr.ScalarField, "eval_jet")
         b.jet(PTS)
         assert len(jets) == 2  # the two off-diagonal entries at N = 2
 
-    def test_reduction_evaluates_each_f_once(self, monkeypatch):
+    def test_reduction_evaluates_each_f_once(self, count_calls):
         pts = sample_points(2, 10, seed=3, lo=0.5, hi=2.0)
         b = rotation_from_H(polar())
-        jets = count_calls(monkeypatch, expr.ScalarField, "eval_jet")
-        partials = count_calls(monkeypatch, expr.ScalarField, "partial")
+        jets = count_calls(expr.ScalarField, "eval_jet")
+        partials = count_calls(expr.ScalarField, "partial")
         reduction_residual(b, F_ID, pts)
         # N(N-1) entries from one batched b.jet, plus one call per f^i
         assert len(jets) == 2 + 2
         assert partials == []
+
+
+def parent_residuals(b, f, points):
+    """The residual code as it was before the shared core, kept as the
+    reference: lame_residuals' (system, divergence) and reduction_residual,
+    each from its own b.jet call."""
+    n = b.dim
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    s = np.arange(n)
+    outside = (s[:, None, None] != s[:, None]) & (s[:, None, None] != s)
+    off = ~np.eye(n, dtype=bool)
+    B, D = b.jet(pts)
+    system = D - np.swapaxes(B, 1, 2)[..., None] * B[:, :, None, :]
+    dD = np.einsum("piij->pij", D)
+    acc = dD + np.swapaxes(dD, 1, 2)
+    for s, keep in enumerate(outside):
+        acc += np.where(keep, B[:, s, :, None] * B[:, s, None, :], 0)
+    r1 = float(np.max(np.abs(system[:, outside & off]), initial=0.0))
+    r2 = float(np.max(np.abs(acc[:, off]), initial=0.0))
+
+    B, D = b.jet(pts)
+    jets = [fi.eval_jet(pts[:, i:i + 1], 1) for i, fi in enumerate(f)]
+    fv = np.stack([j.value for j in jets], axis=-1)
+    half_fd = 0.5 * np.stack([j.grad[:, 0] for j in jets], axis=-1)
+    x = fv[:, :, None] * np.einsum("piij->pij", D)
+    y = half_fd[:, :, None] * B
+    acc = x + y + np.swapaxes(x, 1, 2) + np.swapaxes(y, 1, 2)
+    for s, keep in enumerate(outside):
+        acc += np.where(keep, fv[:, s, None, None] * B[:, s, :, None]
+                        * B[:, s, None, :], 0)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    return r1, r2, float(np.max(np.abs(acc[:, upper]), initial=0.0))
+
+
+H_TEXTS = {
+    2: ["exp(u1*u2)", "1+u1^2*u2"],
+    3: ["1+u2*u3", "exp(u1-u3)", "u1*sin(u2)+2"],
+    4: ["1+u1*u4", "exp(u2/2)+u3", "u1*u2+u3*u4", "2+sin(u1+u4)"],
+}
+F_TEXTS = ["u1+3", "2*u1+1", "exp(u1)", "u1^2+2"]
+GAUSS = "{c}*exp(-40*((u1+{a})^2+(u2+0.3)^2))"
+
+
+def field_source(n):
+    H = [expr.parse(t, n) for t in H_TEXTS[n]]
+    f = [expr.parse(t, 1) for t in F_TEXTS[:n]]
+    return rotation_from_H(LameData(H, f)), f
+
+
+def dressed_source(n):
+    phi = {(i, j): expr.parse(GAUSS.format(c=0.05 / (i + j), a=0.1 * j), 2)
+           for i in range(n) for j in range(i + 1, n)}
+    u = np.linspace(0.3, 0.4, n)
+    p = zakharov.DressingProblem(n, phi, u, 0.0, 1.0, 16)
+    return zakharov.dressing_rotation(p), u
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("route", ["fields", "differences"])
+    def test_equals_parent_on_closed_form_sources(self, n, route):
+        b, f = field_source(n)
+        if route == "differences":
+            b = RotationCoeffs.from_callable(n, b.value)
+        pts = sample_points(n, 5, seed=n, lo=0.4, hi=1.2)
+        ref = parent_residuals(b, f, pts)
+        assert hexes(lame_residuals(b, pts, f)) == hexes(ref)
+        assert hexes(lame_residuals(b, pts)) == hexes(ref[:2])
+        assert reduction_residual(b, f, pts).hex() == ref[2].hex()
+        # the system equations are vacuous at N = 2; no equation holds here
+        assert min(ref[1:]) > 1e-3 and (ref[0] > 1e-3) == (n > 2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_equals_parent_on_dressed_sources(self, n):
+        b, u = dressed_source(n)
+        f = [expr.parse(t, 1) for t in F_TEXTS[:n]]
+        pts = u + np.array([[0.0] * n, [0.01] * n, [-0.02] + [0.0] * (n - 1)])
+        ref = parent_residuals(b, f, pts)
+        assert hexes(lame_residuals(b, pts, f)) == hexes(ref)
+        assert reduction_residual(b, f, pts).hex() == ref[2].hex()
+        assert ref[2] > 1e-6
+
+    def test_dressed_rows_solved_once_per_point(self, count_calls):
+        rows = count_calls(zakharov._DressedRow, "jet")
+        b, u = dressed_source(2)
+        pts = u + np.array([[0.0, 0.0], [0.01, 0.0], [0.0, 0.02]])
+        lame_residuals(b, pts, F_ID)
+        assert len(rows) == 3
+
+    def test_nonfinite_value_fails_divergence_at_n2(self):
+        # at N = 2 there is no s-sum, so the value of beta enters the
+        # divergence only through the (f^i)'/2 terms, here 0 * NaN
+        def value(u):
+            return np.array([[0.0, np.nan], [u[1], 0.0]], dtype=complex)
+
+        def jet(u):
+            return value(u), np.ones((2, 2, 2), dtype=complex)
+
+        b = RotationCoeffs(2, value, jet)
+        assert np.isfinite(parent_residuals(b, F_ID, PTS)[1])
+        system, divergence = lame_residuals(b, PTS)
+        assert system == 0.0 and np.isnan(divergence)
 
 
 class TestScalingProperty:

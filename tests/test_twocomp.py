@@ -140,15 +140,8 @@ class TestVerdicts:
 
 
 class TestBatchedEvaluation:
-    def test_each_field_evaluated_once(self, monkeypatch):
-        calls = []
-        real = expr.ScalarField.eval_jet
-
-        def counting(self, *args, **kwargs):
-            calls.append(args)
-            return real(self, *args, **kwargs)
-
-        monkeypatch.setattr(expr.ScalarField, "eval_jet", counting)
+    def test_each_field_evaluated_once(self, count_calls):
+        calls = count_calls(expr.ScalarField, "eval_jet")
         m = log_model(0.5)
         check_sys(m, PTS)
         check_lequa(m, PTS)
