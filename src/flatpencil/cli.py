@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 
@@ -83,6 +84,13 @@ def _real(cfg, key, default):
     return float(_read(cfg, key, default, _is_real, "a finite number"))
 
 
+def _expressions(manifest):
+    """The manifest's named expression texts."""
+    return _read(manifest, "expressions", {}, lambda v: isinstance(v, dict)
+                 and all(isinstance(t, str) for t in v.values()),
+                 "an object of expression strings")
+
+
 def _fields(job, key, expressions, dim):
     """job[key]: a list of expression strings, parsed over dim variables."""
     texts = _read(job, key, None, lambda v: isinstance(v, list) and all(
@@ -108,12 +116,14 @@ def _parse_field(text, dim, name):
 
 def _build_metric(job, key, manifest, dim):
     """The metric that job[key] names among the manifest's metrics."""
-    name, metrics = job[key], manifest.get("metrics", {})
+    name = job[key]
+    metrics = _read(manifest, "metrics", {}, lambda v: isinstance(v, dict),
+                    "an object of named metrics")
     if not isinstance(name, str) or name not in metrics:
         raise ManifestError(f"metric {name!r} is not defined")
-    spec, expressions = metrics[name], manifest.get("expressions", {})
-    if isinstance(spec, str):
-        spec = {"ref": spec}
+    spec, expressions = metrics[name], _expressions(manifest)
+    if not isinstance(spec, dict):
+        spec = {}
     if "identity" in spec:
         return MetricField.from_constant(np.eye(dim))
     if "diagonal" in spec:
@@ -145,7 +155,9 @@ def _build_metric(job, key, manifest, dim):
 
 
 def _resolve(text, expressions):
-    return expressions.get(text, text)
+    """A named expression's text; any other value is parsed (and rejected
+    if it is not a string) as it stands."""
+    return expressions.get(text, text) if isinstance(text, str) else text
 
 
 def _sampling(job, dim, seed):
@@ -165,11 +177,14 @@ def _lambdas(job, seed):
     if "lambdas" not in job:
         return default_lambda_samples(seed)
     try:
-        return [(complex(l1), complex(l2)) for l1, l2 in job["lambdas"]]
+        lambdas = [(complex(l1), complex(l2)) for l1, l2 in job["lambdas"]]
     except (TypeError, ValueError):
+        lambdas = []
+    if not lambdas:
         raise ManifestError(
-            "'lambdas' must be a list of [l1, l2] number pairs, "
-            f"not {job['lambdas']!r}") from None
+            "'lambdas' must be a non-empty list of [l1, l2] number pairs, "
+            f"not {job['lambdas']!r}")
+    return lambdas
 
 
 def _number(x):
@@ -238,7 +253,7 @@ def _run_pair_job(job, manifest, seed, tol):
 
 def _run_lame_job(job, manifest, seed, tol):
     dim = _dim(job, manifest)
-    expressions = manifest.get("expressions", {})
+    expressions = _expressions(manifest)
     H = _fields(job, "H", expressions, dim)
     f = _fields(job, "f", expressions, 1)
     data = LameData(H, f)
@@ -260,7 +275,7 @@ def _run_lame_job(job, manifest, seed, tol):
 
 
 def _run_twocomp_job(job, manifest, seed, tol):
-    expressions = manifest.get("expressions", {})
+    expressions = _expressions(manifest)
     get = lambda key: _resolve(job[key], expressions)
     eps = _read(job, "eps", [-1, 1],
                 lambda v: isinstance(v, list) and len(v) == 2
@@ -293,14 +308,23 @@ def _run_twocomp_job(job, manifest, seed, tol):
     return verdicts, residuals, flat.witnesses
 
 
+def _potential_index(key, dim):
+    """(i, j) of a potential key "i,j" with integers 0 <= i <= j < dim."""
+    m = re.fullmatch(r"([0-9]+),([0-9]+)", key)
+    if m is None or not int(m[1]) <= int(m[2]) < dim:
+        raise ManifestError(f'potential key {key!r} must be "i,j" with '
+                            f"integers 0 <= i <= j < {dim}")
+    return int(m[1]), int(m[2])
+
+
 def _run_dressing_job(job, manifest, seed, tol):
-    expressions = manifest.get("expressions", {})
+    expressions = _expressions(manifest)
     dim = _dim(job, manifest)
     phi = {}
     for key, text in _read(job, "phi", None, lambda v: isinstance(v, dict),
                            'an object of "i,j" potentials').items():
-        i, j = (int(t) for t in key.split(","))
-        phi[(i, j)] = _parse_field(_resolve(text, expressions), 2, key)
+        phi[_potential_index(key, dim)] = _parse_field(
+            _resolve(text, expressions), 2, key)
     f = _fields(job, "f", expressions, 1) if "f" in job else None
     u = _read(job, "u", None,
               lambda v: isinstance(v, list) and all(map(_is_real, v)),

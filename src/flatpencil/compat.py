@@ -103,6 +103,10 @@ class MetricPair:
         self.sample_points = np.atleast_2d(
             np.asarray(self.sample_points)
         )
+        self.lambda_samples = list(self.lambda_samples)
+        if not self.lambda_samples:
+            raise ValueError("lambda_samples is empty: the linearity checks "
+                             "need at least one pencil member (l1, l2)")
 
 
 @dataclass
@@ -353,9 +357,9 @@ def dubrovin_construct_and_check(eta, f, c, points, tol=DEFAULT_TOL,
     w.update("quadratic", _abs_max(quad) / scale, pts)
     w.update("mixed", _abs_max(mixed) / scale, pts)
 
-    pair = MetricPair(g1, g2, pts, tol=tol)
-    if lambda_samples is not None:
-        pair.lambda_samples = lambda_samples
+    if lambda_samples is None:
+        lambda_samples = default_lambda_samples()
+    pair = MetricPair(g1, g2, pts, lambda_samples, tol=tol)
     flat = check_flat_pencil(pair)
     w.res.update(flat.max_residuals)
     w.wit.update(flat.witnesses)

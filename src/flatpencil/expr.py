@@ -6,6 +6,13 @@ truncated Taylor data (value, gradient, Hessian, third-order tensor, each
 stored only up to the requested order) through the tree, so every partial
 derivative up to the requested order is analytic, not finite-differenced.
 All arithmetic is complex; principal branches are used for ln and sqrt.
+
+A constant subtree evaluates to a complex scalar, not to batch-sized arrays
+of zero derivatives: ``jet + c`` touches only the value and ``c * jet``
+scales each slot.  Only a field that is constant as a whole becomes a
+constant jet.  The AST is immutable and may share subtrees (one node per
+variable, and ``partial()`` reuses the subtrees it differentiates); within
+one evaluation a shared subtree is evaluated once.
 """
 
 from __future__ import annotations
@@ -176,6 +183,9 @@ def _diff_node(node, k):
 
 
 def _outer(a, b):
+    # einsum multiplies with the plain complex formula, so _outer(g, g) is
+    # exactly symmetric; numpy's SIMD multiply loop may round the imaginary
+    # parts of a*b and b*a differently.
     return np.einsum("...i,...j->...ij", a, b)
 
 
@@ -215,9 +225,16 @@ class Jet:
     B+(n,n,n).  Only the slots up to ``order`` are stored; the ones above it
     are None, so no batch-sized array is allocated or added above the
     requested order.
+
+    The other operand of +, - and * may be a constant (a numpy complex):
+    ``jet ± c`` changes only the value and shares the derivative arrays,
+    ``c * jet`` scales each slot.  Nothing writes into a slot after the jet
+    that holds it is built, so shared slots are safe.
     """
 
     __slots__ = ("n", "order", "value", "grad", "hess", "third")
+    # numpy operands defer to the reflected operators below
+    __array_ufunc__ = None
 
     def __init__(self, n, order, value, grad=None, hess=None, third=None):
         self.n = n
@@ -230,6 +247,9 @@ class Jet:
     def slots(self):
         """(value, grad, hess, third) truncated after ``order``."""
         return (self.value, self.grad, self.hess, self.third)[: self.order + 1]
+
+    def _deriv_slots(self):
+        return (self.grad, self.hess, self.third)[: self.order]
 
     @staticmethod
     def constant(c, n, order, batch_shape):
@@ -246,17 +266,36 @@ class Jet:
         return j
 
     def __add__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.n, self.order, np.add(self.value, other),
+                       *self._deriv_slots())
         return Jet(self.n, self.order,
                    *map(np.add, self.slots(), other.slots()))
 
+    def __radd__(self, c):
+        return Jet(self.n, self.order, np.add(c, self.value),
+                   *self._deriv_slots())
+
     def __sub__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.n, self.order, np.subtract(self.value, other),
+                       *self._deriv_slots())
         return Jet(self.n, self.order,
                    *map(np.subtract, self.slots(), other.slots()))
+
+    def __rsub__(self, c):
+        return Jet(self.n, self.order, np.subtract(c, self.value),
+                   *map(np.negative, self._deriv_slots()))
 
     def __neg__(self):
         return Jet(self.n, self.order, *map(np.negative, self.slots()))
 
+    def __rmul__(self, c):
+        return Jet(self.n, self.order, *[c * s for s in self.slots()])
+
     def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.n, self.order, *[s * other for s in self.slots()])
         f, g = self, other
         fv = f.value[..., None]
         gv = g.value[..., None]
@@ -264,11 +303,11 @@ class Jet:
         if f.order >= 1:
             out.grad = f.grad * gv + fv * g.grad
         if f.order >= 2:
-            out.hess = _symmetrize(
-                f.hess * gv[..., None]
-                + _outer(f.grad, g.grad)
-                + _outer(g.grad, f.grad)
-                + fv[..., None] * g.hess, 2)
+            # symmetric exactly: the hessians are, and so is X + X^T
+            x = _outer(f.grad, g.grad)
+            out.hess = (f.hess * gv[..., None]
+                        + (x + np.swapaxes(x, -1, -2))
+                        + fv[..., None] * g.hess)
         if f.order >= 3:
             out.third = _symmetrize(
                 f.third * gv[..., None, None]
@@ -288,9 +327,9 @@ class Jet:
         if self.order >= 1:
             out.grad = d[1][..., None] * self.grad
         if self.order >= 2:
-            out.hess = _symmetrize(
-                d[1][..., None, None] * self.hess
-                + d[2][..., None, None] * _outer(self.grad, self.grad), 2)
+            # symmetric exactly: both terms are
+            out.hess = (d[1][..., None, None] * self.hess
+                        + d[2][..., None, None] * _outer(self.grad, self.grad))
         if self.order >= 3:
             g1 = self.grad
             out.third = _symmetrize(
@@ -300,26 +339,10 @@ class Jet:
                 * np.einsum("...a,...b,...c->...abc", g1, g1, g1), 3)
         return out
 
-    def reciprocal(self):
-        v = self.value
-        if np.any(v == 0):
-            raise DomainError("division by zero")
-        return self.compose(_reciprocal_derivs(v))
-
-    def __truediv__(self, other):
-        return self * other.reciprocal()
-
-    def powi(self, e):
-        v = self.value
-        if e == 0:
-            return Jet.constant(1.0, self.n, self.order, v.shape)
-        if e < 0 and np.any(v == 0):
-            raise DomainError("zero raised to a negative power")
-        return self.compose(_power_derivs(v, e))
-
 
 # Derivatives phi, phi', phi'', phi''' of the elementary functions, computed
-# lazily so that Jet.compose evaluates only the ones its order needs.
+# lazily so that Jet.compose evaluates only the ones its order needs; a
+# constant argument reads only phi.
 
 
 def _reciprocal_derivs(v):
@@ -383,41 +406,112 @@ _CALL_DERIVS = {
 }
 
 
-def _call_jet(func, j):
+def _apply(a, derivs):
+    """phi(a) from phi, phi', ...: a jet by the chain rule, or a constant."""
+    return a.compose(derivs) if isinstance(a, Jet) else next(derivs)
+
+
+def _value(a):
+    return a.value if isinstance(a, Jet) else a
+
+
+def _reciprocal(a):
+    v = _value(a)
+    if np.any(v == 0):
+        raise DomainError("division by zero")
+    return _apply(a, _reciprocal_derivs(v))
+
+
+def _power(a, e):
+    if e == 0:
+        return np.array(1 + 0j)
+    v = _value(a)
+    if e < 0 and np.any(v == 0):
+        raise DomainError("zero raised to a negative power")
+    return _apply(a, _power_derivs(v, e))
+
+
+def _call(func, a, order):
     if func not in _CALL_DERIVS:
         raise ValueError(f"unknown function {func!r}")
-    v = j.value
+    v = _value(a)
     if func == "ln" and np.any(v == 0):
         raise DomainError("ln of zero")
-    if func == "sqrt" and j.order >= 1 and np.any(v == 0):
+    if func == "sqrt" and order >= 1 and np.any(v == 0):
         raise DomainError("sqrt derivative at zero")
-    return j.compose(_CALL_DERIVS[func](v))
+    return _apply(a, _CALL_DERIVS[func](v))
 
 
-def _eval_node(node, point, order):
-    n = point.shape[-1]
-    batch = point.shape[:-1]
-    if isinstance(node, Const):
-        return Jet.constant(node.value, n, order, batch)
-    if isinstance(node, Var):
-        return Jet.variable(node.index, point, order)
-    if isinstance(node, Neg):
-        return -_eval_node(node.arg, point, order)
+def _children(node):
     if isinstance(node, BinOp):
-        a = _eval_node(node.left, point, order)
-        b = _eval_node(node.right, point, order)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
+        return (node.left, node.right)
     if isinstance(node, Pow):
-        return _eval_node(node.base, point, order).powi(node.exponent)
-    if isinstance(node, Call):
-        return _call_jet(node.func, _eval_node(node.arg, point, order))
-    raise TypeError(f"unexpected node {node!r}")
+        return (node.base,)
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    return ()
+
+
+def _shared_nodes(root):
+    """{id(node): number of uses} for the nodes that the AST uses more than
+    once (it is a DAG: parse shares variables, partial() shares subtrees)."""
+    uses = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        key = id(node)
+        uses[key] = uses.get(key, 0) + 1
+        if uses[key] == 1:
+            stack.extend(_children(node))
+    return {key: n for key, n in uses.items() if n > 1}
+
+
+def _eval_node(node, point, order, memo):
+    """Jet of `node` at `point`, or a numpy complex if the subtree is constant.
+
+    ``memo`` maps the id of each shared node to [uses left, result], so a
+    shared subtree is evaluated once per evaluation and released at its
+    last use.  A constant starts as a 0-d array, as the value slot of a
+    single-point jet did.  In a batched evaluation it stays a 0-d array, so
+    that numpy computes it with its array loops, whose complex multiply
+    rounds unlike its scalar one.
+    """
+    entry = memo.get(id(node))
+    if entry is not None and entry[1] is not None:
+        out = entry[1]
+        entry[0] -= 1
+        if entry[0] == 0:
+            entry[1] = None
+        return out
+    if isinstance(node, BinOp):
+        a = _eval_node(node.left, point, order, memo)
+        b = _eval_node(node.right, point, order, memo)
+        if node.op == "+":
+            out = a + b
+        elif node.op == "-":
+            out = a - b
+        elif node.op == "*":
+            out = a * b
+        else:
+            out = a * _reciprocal(b)
+    elif isinstance(node, Const):
+        out = np.array(complex(node.value))
+    elif isinstance(node, Var):
+        out = Jet.variable(node.index, point, order)
+    elif isinstance(node, Neg):
+        out = -_eval_node(node.arg, point, order, memo)
+    elif isinstance(node, Pow):
+        out = _power(_eval_node(node.base, point, order, memo), node.exponent)
+    elif isinstance(node, Call):
+        out = _call(node.func, _eval_node(node.arg, point, order, memo), order)
+    else:
+        raise TypeError(f"unexpected node {node!r}")
+    if point.ndim > 1 and not isinstance(out, Jet):
+        out = np.asarray(out)
+    if entry is not None:  # the first of its uses
+        entry[0] -= 1
+        entry[1] = out
+    return out
 
 # ---------------------------------------------------------------------------
 # Scalar fields
@@ -426,7 +520,7 @@ def _eval_node(node, point, order):
 class ScalarField:
     """Immutable coordinate expression u1..uN -> C, differentiable to order 3."""
 
-    __slots__ = ("source_text", "ast", "dim")
+    __slots__ = ("source_text", "ast", "dim", "_shared")
 
     def __init__(self, source_text, ast, dim):
         if dim < 1:
@@ -434,6 +528,7 @@ class ScalarField:
         object.__setattr__(self, "source_text", source_text)
         object.__setattr__(self, "ast", ast)
         object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_shared", None)  # _shared_nodes, on demand
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarField is immutable")
@@ -450,11 +545,18 @@ class ScalarField:
             raise ArityError(
                 f"point has {pt.shape[-1]} components, field has dim {self.dim}"
             )
-        jet = _eval_node(self.ast, pt, order)
-        for k, slot in enumerate(jet.slots()):
+        if self._shared is None:
+            object.__setattr__(self, "_shared", _shared_nodes(self.ast))
+        memo = {key: [n, None] for key, n in self._shared.items()}
+        jet = _eval_node(self.ast, pt, order, memo)
+        # a constant field's derivatives are zeros: only its value can fail
+        slots = jet.slots() if isinstance(jet, Jet) else (jet,)
+        for k, slot in enumerate(slots):
             if not np.isfinite(slot).all():
                 what = "value" if k == 0 else f"order-{k} derivative"
                 raise DomainError(f"non-finite {what} of {self.source_text!r}")
+        if not isinstance(jet, Jet):
+            jet = Jet.constant(jet, self.dim, order, pt.shape[:-1])
         if pt.ndim == 1:
             jet.value = complex(jet.value)
         return jet
@@ -638,6 +740,7 @@ class _Parser:
         self.dim = dim
         self.tokens = _tokenize(text)
         self.i = 0
+        self.variables = {}  # one node per variable, evaluated once per jet
 
     def peek(self):
         return self.tokens[self.i]
@@ -719,7 +822,7 @@ class _Parser:
                     raise ArityError(
                         f"variable u{idx} out of range for dimension {self.dim}"
                     )
-                return Var(idx - 1)
+                return self.variables.setdefault(idx, Var(idx - 1))
             if t.text in _FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr()
@@ -733,8 +836,9 @@ class _Parser:
         raise ParseError(f"unexpected token {t.text!r}", t.pos)
 
 
-# The AST is immutable, so the fields parsed from one (text, dim) share it.
-# Bounded like the pattern cache of `re`: when full, the oldest entry goes.
+# The AST is immutable, so the fields parsed from one (text, dim) share it,
+# and its _shared_nodes map.  Bounded like the pattern cache of `re`: when
+# full, the oldest entry goes.
 _AST_CACHE = {}
 _AST_CACHE_MAX = 512
 
@@ -749,13 +853,16 @@ def parse(text, dim):
     if dim < 1:
         raise ValueError("dimension must be positive")
     key = (text, dim)
-    ast = _AST_CACHE.get(key)
-    if ast is None:
+    cached = _AST_CACHE.get(key)
+    if cached is None:
         ast = _Parser(text, dim).parse()
+        cached = ast, _shared_nodes(ast)
         if len(_AST_CACHE) >= _AST_CACHE_MAX:
             try:  # another thread may be evicting at the same time
                 del _AST_CACHE[next(iter(_AST_CACHE))]
             except (StopIteration, RuntimeError, KeyError):
                 pass
-        _AST_CACHE[key] = ast
-    return ScalarField(text, ast, dim)
+        _AST_CACHE[key] = cached
+    field = ScalarField(text, cached[0], dim)
+    object.__setattr__(field, "_shared", cached[1])
+    return field

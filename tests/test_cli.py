@@ -412,6 +412,28 @@ INPUT_ERRORS = {
     "identities-command-zero-trials": (
         lambda tmp: ["identities", "--trials", "0"], "--trials"),
     "assert-not-object": (_run(_with_job(**{"assert": 3})), "'assert'"),
+    "flat-pencil-lambdas-empty": (_run(_with_job(lambdas=[])), "'lambdas'"),
+    "pair-check-lambdas-empty": (
+        _run(_with_job(kind="pair-check", lambdas=[])), "'lambdas'"),
+    "expressions-not-object": (
+        _run({**pair_manifest({}), "expressions": ["x"]}), "'expressions'"),
+    "metrics-not-object": (
+        _run({**pair_manifest({}), "metrics": ["coord"]}), "'metrics'"),
+    "metric-not-object": (
+        _run({**pair_manifest({}), "metrics": {"coord": 3, "eye": 4}}),
+        "'coord'"),
+    "diagonal-entry-not-string": (
+        _run({**pair_manifest({}),
+              "metrics": {"coord": {"diagonal": [["u1"], "u2"]},
+                          "eye": {"identity": True}}}), "'coord'"),
+    "dressing-potential-key-three-indices": (
+        _one_job(**{**DRESSING_JOB, "phi": {"0,1,2": GAUSSIAN}}), "'0,1,2'"),
+    "dressing-potential-key-descending": (
+        _one_job(**{**DRESSING_JOB, "phi": {"1,0": GAUSSIAN}}), "'1,0'"),
+    "dressing-potential-key-outside-dim": (
+        _one_job(**{**DRESSING_JOB, "phi": {"0,2": GAUSSIAN}}), "'0,2'"),
+    "dressing-potential-key-not-integers": (
+        _one_job(**{**DRESSING_JOB, "phi": {"a,b": GAUSSIAN}}), "'a,b'"),
 }
 
 

@@ -104,6 +104,13 @@ class TestCompatible:
         )
         assert r_a.passed and r_b.passed
 
+    def test_empty_lambda_samples_rejected(self):
+        g1 = MetricField.diagonal([expr.parse("u1", 2), expr.parse("u2", 2)])
+        with pytest.raises(ValueError, match="lambda_samples"):
+            MetricPair(g1, EYE2, PTS, lambda_samples=[])
+        pair = MetricPair(g1, EYE2, PTS, lambda_samples=((1.0, 1.0),))
+        assert pair.lambda_samples == [(1.0, 1.0)]
+
 
 class TestFlatPencil:
     def test_diagonal_pair_is_flat_pencil(self):

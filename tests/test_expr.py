@@ -1,5 +1,7 @@
 """Expression parsing and derivative-jet propagation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,18 @@ class TestJets:
             assert np.array_equal(jet.hess, jet.hess.T)
             for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
                 assert np.array_equal(jet.third, np.transpose(jet.third, perm))
+
+    def test_hessian_exactly_symmetric_on_complex_data(self):
+        # no symmetrizing copy at rank 2: the terms themselves are symmetric
+        rng = np.random.default_rng(4)
+        f = expr.parse("exp((1+2i)*u1*u2)*sin(u1)/(1+u2^2) + sqrt(u1+0.5i*u3)"
+                       " + (u1*u2*u3)^3", 3)
+        pts = rng.uniform(0.3, 1.5, (64, 3)) + 1j * rng.uniform(-1, 1, (64, 3))
+        jet = f.eval_jet(pts, 3)
+        assert np.array_equal(jet.hess, np.swapaxes(jet.hess, -1, -2))
+        for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
+            assert np.array_equal(
+                jet.third, np.transpose(jet.third, (0,) + tuple(1 + p for p in perm)))
 
     def test_batch_evaluation(self):
         f = expr.parse("u1*u2^2", 2)
@@ -243,3 +257,353 @@ class TestRandomFieldsAgainstFiniteDifferences:
             scale_h = 1.0 + np.max(np.abs(h))
             assert np.max(np.abs(jet.grad - g)) / scale_g < 1e-6
             assert np.max(np.abs(jet.hess - h)) / scale_h < 1e-6
+
+
+# The evaluator before constants were folded, kept as the reference: every
+# Const became a batch-sized jet of zeros, every subtree was evaluated where
+# it occurs, and rank-2 products and compositions were symmetrized.  The
+# elementary-function derivatives and tensor helpers it used are unchanged.
+
+
+class ParentJet:
+    def __init__(self, n, order, value, grad=None, hess=None, third=None):
+        self.n, self.order = n, order
+        self.value, self.grad, self.hess, self.third = value, grad, hess, third
+
+    def slots(self):
+        return (self.value, self.grad, self.hess, self.third)[: self.order + 1]
+
+    @staticmethod
+    def constant(c, n, order, batch_shape):
+        value = np.full(batch_shape, complex(c), dtype=complex)
+        return ParentJet(n, order, value,
+                         *expr._zero_slots(n, order, batch_shape))
+
+    @staticmethod
+    def variable(i, point, order):
+        n = point.shape[-1]
+        j = ParentJet(n, order, point[..., i].astype(complex),
+                      *expr._zero_slots(n, order, point.shape[:-1]))
+        if order >= 1:
+            j.grad[..., i] = 1.0
+        return j
+
+    def __add__(self, other):
+        return ParentJet(self.n, self.order,
+                         *map(np.add, self.slots(), other.slots()))
+
+    def __sub__(self, other):
+        return ParentJet(self.n, self.order,
+                         *map(np.subtract, self.slots(), other.slots()))
+
+    def __neg__(self):
+        return ParentJet(self.n, self.order, *map(np.negative, self.slots()))
+
+    def __mul__(self, other):
+        f, g = self, other
+        fv = f.value[..., None]
+        gv = g.value[..., None]
+        out = ParentJet(f.n, f.order, f.value * g.value)
+        if f.order >= 1:
+            out.grad = f.grad * gv + fv * g.grad
+        if f.order >= 2:
+            out.hess = expr._symmetrize(
+                f.hess * gv[..., None]
+                + expr._outer(f.grad, g.grad)
+                + expr._outer(g.grad, f.grad)
+                + fv[..., None] * g.hess, 2)
+        if f.order >= 3:
+            out.third = expr._symmetrize(
+                f.third * gv[..., None, None]
+                + expr._sym_pair(f.hess, g.grad)
+                + expr._sym_pair(g.hess, f.grad)
+                + fv[..., None, None] * g.third, 3)
+        return out
+
+    def compose(self, derivs):
+        d = list(itertools.islice(derivs, self.order + 1))
+        out = ParentJet(self.n, self.order, d[0])
+        if self.order >= 1:
+            out.grad = d[1][..., None] * self.grad
+        if self.order >= 2:
+            out.hess = expr._symmetrize(
+                d[1][..., None, None] * self.hess
+                + d[2][..., None, None] * expr._outer(self.grad, self.grad), 2)
+        if self.order >= 3:
+            g1 = self.grad
+            out.third = expr._symmetrize(
+                d[1][..., None, None, None] * self.third
+                + d[2][..., None, None, None] * expr._sym_pair(self.hess, g1)
+                + d[3][..., None, None, None]
+                * np.einsum("...a,...b,...c->...abc", g1, g1, g1), 3)
+        return out
+
+    def reciprocal(self):
+        v = self.value
+        if np.any(v == 0):
+            raise DomainError("division by zero")
+        return self.compose(expr._reciprocal_derivs(v))
+
+    def __truediv__(self, other):
+        return self * other.reciprocal()
+
+    def powi(self, e):
+        v = self.value
+        if e == 0:
+            return ParentJet.constant(1.0, self.n, self.order, v.shape)
+        if e < 0 and np.any(v == 0):
+            raise DomainError("zero raised to a negative power")
+        return self.compose(expr._power_derivs(v, e))
+
+
+def parent_call_jet(func, j):
+    v = j.value
+    if func == "ln" and np.any(v == 0):
+        raise DomainError("ln of zero")
+    if func == "sqrt" and j.order >= 1 and np.any(v == 0):
+        raise DomainError("sqrt derivative at zero")
+    return j.compose(expr._CALL_DERIVS[func](v))
+
+
+def parent_eval_node(node, point, order, calls=None):
+    def ev(sub):
+        return parent_eval_node(sub, point, order, calls)
+
+    if isinstance(node, expr.Const):
+        return ParentJet.constant(node.value, point.shape[-1], order,
+                                  point.shape[:-1])
+    if isinstance(node, expr.Var):
+        return ParentJet.variable(node.index, point, order)
+    if isinstance(node, expr.Neg):
+        return -ev(node.arg)
+    if isinstance(node, expr.BinOp):
+        a, b = ev(node.left), ev(node.right)
+        return {"+": a.__add__, "-": a.__sub__, "*": a.__mul__,
+                "/": a.__truediv__}[node.op](b)
+    if isinstance(node, expr.Pow):
+        return ev(node.base).powi(node.exponent)
+    if calls is not None:
+        calls.append(node.func)
+    return parent_call_jet(node.func, ev(node.arg))
+
+
+def parent_eval_jet(f, point, order):
+    pt = np.asarray(point, dtype=complex)
+    jet = parent_eval_node(f.ast, pt, order)
+    for slot in jet.slots():
+        if not np.isfinite(slot).all():
+            raise DomainError("non-finite slot")
+    if pt.ndim == 1:
+        jet.value = complex(jet.value)
+    return jet
+
+
+def magnitude_jet(node, point, order):
+    """Taylor rules of the reference applied to absolute values: slot by
+    slot a bound on the sizes of the terms that the jet's sums add up, the
+    scale of their rounding.  Returns (reference jet, bound)."""
+    def ev(sub):
+        return magnitude_jet(sub, point, order)
+
+    def chain(m, derivs):
+        return m.compose(np.abs(d) for d in derivs)
+
+    n, batch = point.shape[-1], point.shape[:-1]
+    if isinstance(node, expr.Const):
+        return (ParentJet.constant(node.value, n, order, batch),
+                ParentJet.constant(abs(node.value), n, order, batch))
+    if isinstance(node, expr.Var):
+        return (ParentJet.variable(node.index, point, order),
+                ParentJet.variable(node.index, np.abs(point), order))
+    if isinstance(node, expr.Neg):
+        j, m = ev(node.arg)
+        return -j, m
+    if isinstance(node, expr.BinOp):
+        (a, ma), (b, mb) = ev(node.left), ev(node.right)
+        if node.op in "+-":
+            return (a + b if node.op == "+" else a - b), ma + mb
+        if node.op == "*":
+            return a * b, ma * mb
+        r = b.reciprocal()
+        return a * r, ma * chain(mb, expr._reciprocal_derivs(b.value))
+    if isinstance(node, expr.Pow):
+        j, m = ev(node.base)
+        if node.exponent == 0:
+            return j.powi(0), j.powi(0)
+        return (j.powi(node.exponent),
+                chain(m, expr._power_derivs(j.value, node.exponent)))
+    j, m = ev(node.arg)
+    return (parent_call_jet(node.func, j),
+            chain(m, expr._CALL_DERIVS[node.func](j.value)))
+
+
+def random_node(rng, dim, depth, const_only=False, products=True):
+    """A random AST over u1..u_dim.  Constant subtrees are frequent; with
+    products=False every '*' and '/' has a constant operand, so no product
+    of two jets occurs."""
+    leaf = depth == 0 or rng.random() < 0.25
+    if leaf:
+        if const_only or rng.random() < 0.4:
+            re_, im = rng.uniform(0.3, 1.7, 2) * rng.choice([-1, 1], 2)
+            return expr.Const(complex(re_, im if rng.random() < 0.3 else 0.0))
+        return expr.Var(int(rng.integers(dim)))
+
+    def sub(**kw):
+        const = const_only or kw.pop("const", False) or rng.random() < 0.2
+        return random_node(rng, dim, depth - 1, const_only=const,
+                           products=products)
+
+    kind = rng.choice(["neg", "bin", "bin", "pow", "call"])
+    if kind == "neg":
+        return expr.Neg(sub())
+    if kind == "pow":
+        return expr.Pow(sub(), int(rng.integers(-3, 4)))
+    if kind == "call":
+        return expr.Call(str(rng.choice(["exp", "ln", "sin", "cos", "sqrt"])),
+                         sub())
+    op = str(rng.choice(["+", "-", "*", "/"]))
+    if op in "*/" and not products:
+        const_left = op == "*" and rng.random() < 0.5
+        return expr.BinOp(op, sub(const=const_left), sub(const=not const_left))
+    return expr.BinOp(op, sub(), sub())
+
+
+def bits(a):
+    """Raw bytes with -0.0 read as 0.0: the sign of a zero is not kept when
+    a constant's zero derivative is no longer added in."""
+    return (np.asarray(a) + 0.0).tobytes()
+
+
+def hex_list(a):
+    a = np.asarray(a) + 0.0
+    return [(x.real.hex(), x.imag.hex()) for x in a.ravel()]
+
+
+class TestConstantFolding:
+    BATCHES = [(), (5,), (64, 64)]
+
+    def _points(self, rng, batch, dim):
+        return rng.uniform(0.2, 1.3, size=batch + (dim,))
+
+    def _compare(self, f, pt, order, exact_hess=False):
+        """Value and gradient equal to the reference bit for bit; higher
+        slots too if exact_hess, else within 1e-15 of the terms' magnitude.
+        Returns False if both raise DomainError."""
+        with np.errstate(all="ignore"):
+            try:
+                want = parent_eval_jet(f, pt, order)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    f.eval_jet(pt, order)
+                return False
+            got = f.eval_jet(pt, order)
+            if not exact_hess and order >= 2:
+                bound = magnitude_jet(f.ast, np.asarray(pt, dtype=complex),
+                                      order)[1]
+        assert isinstance(got, expr.Jet) and got.order == order
+        assert hex_list(got.value) == hex_list(want.value)
+        if order >= 1:
+            assert hex_list(got.grad) == hex_list(want.grad)
+        for k in range(2, order + 1):
+            g, w = got.slots()[k], want.slots()[k]
+            assert g.shape == w.shape
+            if exact_hess:
+                assert bits(g) == bits(w)
+            else:
+                assert np.all(np.abs(g - w) <= 1e-15 * np.abs(bound.slots()[k]))
+        return True
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_random_trees_match_reference(self, order, batch, dim):
+        rng = np.random.default_rng(1000 * order + 100 * len(batch) + dim)
+        trials = 2 if len(batch) == 2 else 12
+        compared = 0
+        for _ in range(trials):
+            f = expr.ScalarField("t", random_node(rng, dim, 4), dim)
+            pt = self._points(rng, batch, dim)
+            compared += self._compare(f, pt, order)
+            for k in rng.integers(dim, size=2):
+                f = f.partial(int(k))
+                compared += self._compare(f, pt, order)
+        assert compared > trials  # most trees are defined at the points
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_no_jet_products_keeps_every_slot_bit_equal(self, order, batch):
+        # without a product of two jets no sum changes its order
+        rng = np.random.default_rng(7 + order + len(batch))
+        for _ in range(10):
+            dim = int(rng.integers(1, 5))
+            f = expr.ScalarField(
+                "t", random_node(rng, dim, 4, products=False), dim)
+            self._compare(f, self._points(rng, batch, dim), order,
+                          exact_hess=True)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_constant_fields(self, batch):
+        rng = np.random.default_rng(3)
+        for trial in range(4 if len(batch) == 2 else 20):
+            dim = trial % 4 + 1
+            f = expr.ScalarField(
+                "c", random_node(rng, dim, 4, const_only=True), dim)
+            pt = self._points(rng, batch, dim)
+            for order in range(4):
+                if self._compare(f, pt, order, exact_hess=True):
+                    got = f.eval_jet(pt, order)
+                    for k, slot in enumerate(got.slots()[1:], 1):
+                        assert slot.shape == batch + (dim,) * k
+                        assert not np.any(slot)
+
+    def test_parsed_constant_subtrees(self):
+        f = expr.parse("0.05*exp(-40*((u1+0.2)^2 + (u2+0.3)^2))"
+                       " + (2.5*0.3 - 1/3)^2*u1/(0.7*1.1) + sqrt(2)*ln(3i)", 2)
+        pts = np.random.default_rng(5).uniform(-0.5, 0.5, (64, 64, 2))
+        for pt in (pts, pts[3, 4]):
+            for order in range(4):
+                assert self._compare(f, pt, order)
+
+    @pytest.mark.parametrize("text", [
+        "u1 + 1/0", "u1 + 1/(2-2)", "exp(-1/0)", "u1*0^-2", "(1-1)^-1 + u1",
+        "u1 - ln(0)", "ln(3-3)*u2", "sqrt(0)*u1", "sqrt(u1-u1+0)",
+    ])
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    def test_domain_errors_on_constant_subtrees(self, text, batch):
+        f = expr.parse(text, 2)
+        pt = np.full(batch + (2,), 0.5)
+        order = 1  # sqrt(0) is defined, its derivative is not
+        with pytest.raises(DomainError):
+            parent_eval_jet(f, pt, order)
+        with pytest.raises(DomainError):
+            f.eval_jet(pt, order)
+
+    def test_sqrt_of_zero_constant_at_order_zero(self):
+        f = expr.parse("sqrt(0) + u1", 1)
+        assert f.eval_jet([2.0], 0).value == 2.0
+        with pytest.raises(DomainError):
+            f.eval_jet([2.0], 1)
+
+    def test_shared_subtree_evaluated_once(self, count_calls):
+        f = expr.parse("exp(u1*u2)", 2)
+        df = f.partial(0)           # exp(u1*u2)*u2 reuses the exp node
+        ddf = df.partial(1)         # holds that exp node twice
+        assert df.ast.left is f.ast
+        assert ddf.ast.left.left.left is ddf.ast.right is f.ast
+        pts = np.random.default_rng(2).uniform(0.2, 1.0, (5, 2))
+        calls = count_calls(expr, "_call")
+        for field, twice in ((df, 1), (ddf, 2)):
+            ref = []
+            parent_eval_node(field.ast, pts.astype(complex), 2, ref)
+            assert ref == ["exp"] * twice
+            for _ in range(2):
+                calls.clear()
+                field.eval_jet(pts, 2)
+                assert calls == ["exp"]
+
+    def test_constant_operand_shares_derivative_slots(self):
+        jet = expr.Jet.variable(0, np.array([[0.5, 1.0]]), 3)
+        shifted = jet + np.array(2 + 0j)
+        assert shifted.grad is jet.grad and shifted.hess is jet.hess
+        assert shifted.third is jet.third
+        assert (np.array(2 + 0j) + jet).grad is jet.grad
