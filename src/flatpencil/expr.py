@@ -13,6 +13,15 @@ scales each slot.  Only a field that is constant as a whole becomes a
 constant jet.  The AST is immutable and may share subtrees (one node per
 variable, and ``partial()`` reuses the subtrees it differentiates); within
 one evaluation a shared subtree is evaluated once.
+
+Inside an evaluation a slot keeps only the batch axes along which it
+varies: on a grid (two or more batch axes) a coordinate that is constant
+along an axis has size 1 there, and numpy broadcasting widens a slot only
+where coordinates that vary along different axes meet.  On an m x m product
+grid a subtree of one coordinate thus costs O(m), not O(m^2).  Each entry is
+computed by the same operations in the same order as on the full grid, so
+the results are the same bits.  ``eval_jet`` returns fresh slots of the
+full shapes B, B+(n,), ...
 """
 
 from __future__ import annotations
@@ -218,18 +227,41 @@ def _zero_slots(n, order, batch_shape):
             for k in range(1, order + 1)]
 
 
+def _varying(x):
+    """x cut to size 1 along each axis on which its entries agree bit for
+    bit; NaN never agrees, nor 0.0 with -0.0.  Only a grid, a batch with
+    two or more axes, is probed: a flat batch would pay for the probe and
+    rarely gain."""
+    if x.ndim < 2 or x.size < 2:
+        return x
+    step = x.size
+    for axis, size in enumerate(x.shape):
+        step //= size  # entries per index of this axis
+        # one pair of entries settles most batches before all are read
+        if size > 1 and x.item(0) == x.item((size - 1) * step):
+            head = x[(slice(None),) * axis + (slice(0, 1),)]
+            if ((x == head).all()
+                    and (np.signbit(x.real) == np.signbit(head.real)).all()
+                    and (np.signbit(x.imag) == np.signbit(head.imag)).all()):
+                x = head
+    return x
+
+
 class Jet:
     """Taylor data of a scalar function at a (possibly batched) point.
 
     value has the batch shape B; grad is B+(n,), hess B+(n,n), third
-    B+(n,n,n).  Only the slots up to ``order`` are stored; the ones above it
-    are None, so no batch-sized array is allocated or added above the
-    requested order.
+    B+(n,n,n).  Inside an evaluation a slot may have size 1 on a batch axis
+    along which it does not vary, and broadcasts against B; the jet that
+    ``ScalarField.eval_jet`` returns has every slot at its full shape.  Only
+    the slots up to ``order`` are stored; the ones above it are None, so no
+    batch-sized array is allocated or added above the requested order.
 
     The other operand of +, - and * may be a constant (a numpy complex):
     ``jet ± c`` changes only the value and shares the derivative arrays,
     ``c * jet`` scales each slot.  Nothing writes into a slot after the jet
-    that holds it is built, so shared slots are safe.
+    that holds it is built, so shared slots, and slots that broadcast, are
+    safe; ``_symmetrize`` writes only into the fresh sum it is given.
     """
 
     __slots__ = ("n", "order", "value", "grad", "hess", "third")
@@ -258,9 +290,18 @@ class Jet:
 
     @staticmethod
     def variable(i, point, order):
+        """Coordinate i, kept only along the batch axes where it varies.
+
+        If it is constant along some axis, its derivative slots have size-1
+        batch axes too.  Otherwise they keep the batch shape: numpy's
+        broadcasting loops cost more per call than same-shape ones, and
+        on a small batch nothing repays that.
+        """
         n = point.shape[-1]
-        j = Jet(n, order, point[..., i].astype(complex),
-                *_zero_slots(n, order, point.shape[:-1]))
+        x = point[..., i]
+        value = _varying(x).astype(complex)
+        shape = x.shape if value.shape == x.shape else (1,) * x.ndim
+        j = Jet(n, order, value, *_zero_slots(n, order, shape))
         if order >= 1:
             j.grad[..., i] = 1.0
         return j
@@ -513,6 +554,16 @@ def _eval_node(node, point, order, memo):
         entry[1] = out
     return out
 
+
+def _full_shape(jet, batch):
+    """Give each slot of `jet` its full shape B+(n,)*k, as a fresh array,
+    whatever batch axes it varied along."""
+    names = ("value", "grad", "hess", "third")[: jet.order + 1]
+    for k, name in enumerate(names):
+        slot, shape = getattr(jet, name), batch + (jet.n,) * k
+        if slot.shape != shape:
+            setattr(jet, name, np.broadcast_to(slot, shape).copy())
+
 # ---------------------------------------------------------------------------
 # Scalar fields
 
@@ -557,6 +608,8 @@ class ScalarField:
                 raise DomainError(f"non-finite {what} of {self.source_text!r}")
         if not isinstance(jet, Jet):
             jet = Jet.constant(jet, self.dim, order, pt.shape[:-1])
+        elif pt.ndim > 2:  # a grid: its slots may lack axes
+            _full_shape(jet, pt.shape[:-1])
         if pt.ndim == 1:
             jet.value = complex(jet.value)
         return jet

@@ -13,8 +13,8 @@ from typing import List
 
 import numpy as np
 
-from .errors import DegenerateMetric
-from .expr import ScalarField, constant
+from .errors import ArityError, DegenerateMetric
+from .expr import Const, ScalarField, constant
 
 DEGENERACY_TOL = 1e-10
 
@@ -126,18 +126,27 @@ def _entry_jets(g, point, order):
     the partials above `order` are None."""
     pt = np.asarray(point, dtype=complex)
     n = g.dim
+    if pt.shape[-1] != n:  # as eval_jet would say, which literals skip
+        raise ArityError(
+            f"point has {pt.shape[-1]} components, field has dim {n}")
     batch = pt.shape[:-1]
     V = np.empty(batch + (n, n), dtype=complex)
     d = np.empty(batch + (n,) * 3, dtype=complex) if order >= 1 else None
     d2 = np.empty(batch + (n,) * 4, dtype=complex) if order >= 2 else None
     for i in range(n):
         for j in range(i, n):
-            jet = g.entries[i][j].eval_jet(pt, order)
-            V[..., i, j] = V[..., j, i] = jet.value
+            f = g.entries[i][j]
+            if isinstance(f.ast, Const) and np.isfinite(f.ast.value):
+                # a literal: its jet is known without evaluating it
+                value, grad, hess = f.ast.value, 0, 0
+            else:
+                jet = f.eval_jet(pt, order)
+                value, grad, hess = jet.value, jet.grad, jet.hess
+            V[..., i, j] = V[..., j, i] = value
             if d is not None:
-                d[..., :, i, j] = d[..., :, j, i] = jet.grad
+                d[..., :, i, j] = d[..., :, j, i] = grad
             if d2 is not None:
-                d2[..., :, :, i, j] = d2[..., :, :, j, i] = jet.hess
+                d2[..., :, :, i, j] = d2[..., :, :, j, i] = hess
     return V, d, d2
 
 

@@ -13,8 +13,10 @@ is discretized by the composite trapezoid rule (Nystrom method, one explicit
 inverse per row node, which also gives the row's condition number) and
 rotation coefficients are read off the diagonal, beta_ij(s) = K_ji(s, s).
 
-The kernel depends on the base point u only through the shifts s - u^i, so
-its u-partials come exactly from the Hessians of the potentials.  Rotation
+The kernel is tabulated on the m x m node grid, where a subtree of a
+potential that reads one shift costs O(m) (see _tabulate).  It depends on
+the base point u only through the shifts s - u^i, so its u-partials come
+exactly from the Hessians of the potentials.  Rotation
 coefficients as functions of u (dressing_rotation) therefore get exact
 u-derivatives by differentiating the discrete equation with the same row
 inverse: one kernel tabulation and one inverse per point, no finite
@@ -84,8 +86,7 @@ class DressingProblem:
 def _check_skew(phi):
     rng = np.random.default_rng(12345)
     xy = rng.uniform(-1.0, 1.0, size=(16, 2))
-    fwd = phi.eval_jet(xy, 0).value
-    bwd = phi.eval_jet(xy[:, ::-1], 0).value
+    fwd, bwd = phi.eval_jet(np.stack([xy, xy[:, ::-1]]), 0).value
     if np.max(np.abs(fwd + bwd)) > 1e-12:
         raise ValueError("diagonal potential is not skew-symmetric")
 
@@ -106,7 +107,11 @@ def _tabulate(Phi, u, s, order):
                 F_ji(s, s') = -Phi_y(s' - u^i, s - u^j),
     and F_ii(s, s') = Phi_x(s - u^i, s' - u^i) with skew Phi_ii.  Each
     potential is evaluated once, on the F_ij grid; the F_ji grid is its
-    transpose.  F depends on u only through the shifts s - u^i, so
+    transpose.  On that m x m grid x = s - u^i varies only along rows and
+    y = s' - u^j only along columns, so the jet evaluation computes a
+    subtree of one coordinate, such as (x + 0.2)^2, on m points, and only
+    the subtrees where x and y meet on m^2.  F depends on u only through
+    the shifts s - u^i, so
 
         dF_ij/du^k = -delta_ik Phi_xx - delta_jk Phi_xy,
         dF_ji/du^k = delta_ik Phi_yx + delta_jk Phi_yy  (transposed grid),

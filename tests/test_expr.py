@@ -479,11 +479,25 @@ def hex_list(a):
     return [(x.real.hex(), x.imag.hex()) for x in a.ravel()]
 
 
+def grid_points(rng, shape, axes_of):
+    """A product grid of the given batch shape whose coordinate k varies
+    along the axes axes_of[k] only."""
+    columns = [rng.uniform(0.2, 1.3, size=tuple(
+        n if a in axes else 1 for a, n in enumerate(shape)))
+        for axes in axes_of]
+    return np.stack(np.broadcast_arrays(*columns, np.empty(shape))[:-1], -1)
+
+
 class TestConstantFolding:
-    BATCHES = [(), (5,), (64, 64)]
+    BATCHES = [(), (5,), (64, 64), (6, 5, 4)]  # the last is a product grid
 
     def _points(self, rng, batch, dim):
-        return rng.uniform(0.2, 1.3, size=batch + (dim,))
+        if len(batch) < 3:
+            return rng.uniform(0.2, 1.3, size=batch + (dim,))
+        # each coordinate varies along one or two of the three axes only
+        return grid_points(rng, batch, [
+            rng.choice(3, size=int(rng.integers(1, 3)), replace=False)
+            for _ in range(dim)])
 
     def _compare(self, f, pt, order, exact_hess=False):
         """Value and gradient equal to the reference bit for bit; higher
@@ -607,3 +621,65 @@ class TestConstantFolding:
         assert shifted.grad is jet.grad and shifted.hess is jet.hess
         assert shifted.third is jet.third
         assert (np.array(2 + 0j) + jet).grad is jet.grad
+
+
+class TestGridCompression:
+    def test_variable_keeps_size_one_axes(self):
+        pts = grid_points(np.random.default_rng(1), (4, 3), [(0,), (1,)])
+        for i, shape in ((0, (4, 1)), (1, (1, 3))):
+            jet = expr.Jet.variable(i, pts.astype(complex), 3)
+            assert jet.value.shape == shape
+            assert jet.value.tobytes() == pts[
+                : shape[0], : shape[1], i].astype(complex).tobytes()
+            assert jet.grad.shape == (1, 1, 2)
+            assert jet.grad.tolist() == [[[i == 0, i == 1]]]
+            assert jet.hess.shape == (1, 1, 2, 2) and not np.any(jet.hess)
+            assert jet.third.shape == (1, 1, 2, 2, 2)
+
+    def test_varying_coordinate_keeps_batch_shape(self):
+        # one that varies along every axis keeps full derivative slots
+        pts = np.random.default_rng(2).uniform(size=(4, 3, 2))
+        jet = expr.Jet.variable(0, pts, 2)
+        assert jet.value.shape == (4, 3)
+        assert jet.grad.shape == (4, 3, 2) and jet.hess.shape == (4, 3, 2, 2)
+
+    def test_flat_batch_is_not_probed(self):
+        jet = expr.Jet.variable(0, np.full((5, 2), 0.5), 1)
+        assert jet.value.shape == (5,) and jet.grad.shape == (5, 2)
+
+    @pytest.mark.parametrize("column", [
+        [0.0, -0.0], [-0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [np.nan, np.nan],
+        [np.nan, 0.5, np.nan], [complex(0.5, 0.0), complex(0.5, -0.0)],
+    ])
+    def test_signed_zeros_and_nan_not_merged(self, column):
+        # the column runs along axis 1 and repeats along axis 0, where a
+        # NaN is not merged with itself either
+        pts = np.zeros((3, len(column), 2), dtype=complex)
+        pts[..., 0] = np.asarray(column, dtype=complex)[None, :]
+        jet = expr.Jet.variable(0, pts, 1)
+        rows = 3 if np.isnan(column).any() else 1
+        assert jet.value.shape == (rows, len(column))
+        want = np.asarray(column, dtype=complex)
+        assert jet.value[0].tobytes() == want.tobytes()
+
+    def test_signed_zeros_kept_in_outputs(self):
+        pts = np.zeros((2, 3, 2))
+        pts[:, 1, 0] = -0.0
+        got = expr.parse("u1 + u2*u1", 2).eval_jet(pts, 1)
+        assert np.array_equal(np.signbit(got.value.real),
+                              np.signbit(pts[..., 0]))
+
+    @pytest.mark.parametrize("text", ["u1", "u2 + 3", "(u1+0.2)^2*u2",
+                                      "exp(u1) - u1", "2"])
+    def test_slots_full_fresh_and_writeable(self, text):
+        pts = grid_points(np.random.default_rng(3), (4, 3, 2),
+                          [(0,), (1, 2)])
+        f = expr.parse(text, 2)
+        a, b = f.eval_jet(pts, 3), f.eval_jet(pts, 3)
+        slots = a.slots() + b.slots()
+        for jet in (a, b):
+            for k, slot in enumerate(jet.slots()):
+                assert slot.shape == (4, 3, 2) + (2,) * k
+                assert slot.flags.writeable and slot.flags.c_contiguous
+        for x, y in itertools.combinations(slots, 2):
+            assert not np.shares_memory(x, y)

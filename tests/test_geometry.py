@@ -5,8 +5,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from flatpencil import expr
-from flatpencil.errors import DegenerateMetric
+from flatpencil import expr, geometry
+from flatpencil.errors import ArityError, DegenerateMetric, DomainError
 from flatpencil.geometry import (
     CONTRAVARIANT,
     COVARIANT,
@@ -302,3 +302,47 @@ class TestBatchContract:
             geometry_jet(g, pts)
         assert np.array_equal(exc.value.point, pts[2])
         assert exc.value.absdet == abs(np.linalg.det(g.values(pts[2])))
+
+
+class TestLiteralEntries:
+    """Entries whose expression is a bare literal skip evaluation."""
+
+    @staticmethod
+    def evaluated(g, point, order):
+        """_entry_jets as it was: every entry through eval_jet."""
+        pt = np.asarray(point, dtype=complex)
+        n, batch = g.dim, pt.shape[:-1]
+        V = np.empty(batch + (n, n), dtype=complex)
+        d = np.empty(batch + (n,) * 3, dtype=complex)
+        d2 = np.empty(batch + (n,) * 4, dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                jet = g.entries[i][j].eval_jet(pt, 2)
+                V[..., i, j], d[..., :, i, j] = jet.value, jet.grad
+                d2[..., :, :, i, j] = jet.hess
+        return V, d, d2
+
+    @pytest.mark.parametrize("batch", [(), (4,), (3, 2)])
+    def test_bit_equal_to_evaluating_them(self, batch, count_calls):
+        e = lambda text: expr.parse(text, 3)
+        g = MetricField.from_upper(
+            {(0, 0): e("1"), (0, 1): e("0"), (1, 1): e("u1^-2"),
+             (1, 2): e("-2.5"), (2, 2): e("2*(u1*sin(u2))^-2")},
+            CONTRAVARIANT)
+        pts = np.random.default_rng(4).uniform(0.4, 1.2, batch + (3,))
+        want = self.evaluated(g, pts, 2)
+        calls = count_calls(expr.ScalarField, "eval_jet")
+        got = geometry._entry_jets(g, pts, 2)
+        # "-2.5" parses as the negation of a literal, so it is evaluated
+        assert [f.source_text for f in calls] == [
+            "u1^-2", "-2.5", "2*(u1*sin(u2))^-2"]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_arity_and_nonfinite_literals_still_raise(self):
+        eye = MetricField.from_constant(np.eye(2))
+        with pytest.raises(ArityError):
+            geometry._entry_jets(eye, np.zeros(3), 2)
+        g = MetricField.diagonal([expr.parse("1e400", 2), expr.parse("1", 2)])
+        with pytest.raises(DomainError):
+            geometry._entry_jets(g, np.zeros(2), 0)

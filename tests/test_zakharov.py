@@ -1,6 +1,7 @@
 """Kernel construction, the integral-equation solve, and the reduction."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,6 +54,11 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             DressingProblem(1, phi, np.array([0.0]), 0.0, 1.0, 8)
 
+    def test_skew_check_evaluates_each_diagonal_once(self, count_calls):
+        calls = count_calls(expr.ScalarField, "eval_jet")
+        p = criterion7_problem()
+        assert calls == [p.Phi[0, 0], p.Phi[1, 1]]
+
     def test_skew_diagonal_accepted(self):
         phi = {(0, 0): expr.parse("(u1-u2)*exp(-u1^2-u2^2)", 2)}
         DressingProblem(1, phi, np.array([0.0]), 0.0, 1.0, 8)
@@ -86,6 +92,34 @@ class TestBuildKernel:
         p = gaussian_problem(m=6, dim=3)
         k = build_kernel(p)
         assert np.all(k.values[2] == 0) and np.all(k.values[:, 2] == 0)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_grid_tabulation_equals_pointwise(self, order):
+        # the (m, m) grid of a potential varies per coordinate along one
+        # axis; single points have no batch axes to compress
+        class PointByPoint:
+            def __init__(self, phi):
+                self.phi = phi
+
+            def eval_jet(self, pts, order):
+                jets = [self.phi.eval_jet(q, order)
+                        for q in pts.reshape(-1, 2)]
+                batch = pts.shape[:-1]
+                grad = np.array([j.grad for j in jets])
+                hess = (np.array([j.hess for j in jets]).reshape(
+                    batch + (2, 2)) if order >= 2 else None)
+                return SimpleNamespace(grad=grad.reshape(batch + (2,)),
+                                       hess=hess)
+
+        p = criterion7_problem(m=8)
+        pointwise = {ij: PointByPoint(phi) for ij, phi in p.Phi.items()}
+        F, dF = _tabulate(p.Phi, p.u, p.nodes, order)
+        G, dG = _tabulate(pointwise, p.u, p.nodes, order)
+        assert F.tobytes() == G.tobytes()
+        if order == 1:
+            assert dF is None and dG is None
+        else:
+            assert dF.tobytes() == dG.tobytes()
 
 
 class TestReductionRelation:
