@@ -18,6 +18,7 @@ potential Phi.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -229,7 +230,9 @@ def _pass(pair, stage):
 
         if depth >= 2:
             for (l1, l2), j in jets:
-                w.update(f"flatness({l1},{l2})", _flatness_residual(j), p)
+                # one name object per member across reports, not a copy each
+                w.update(sys.intern(f"flatness({l1},{l2})"),
+                         _flatness_residual(j), p)
         if depth >= 3:
             nonsingular = nonsingular and roots_and_gap(aff.v)[1] > 1e-6
     return w, bool(nonsingular)

@@ -14,20 +14,34 @@ constant jet.  The AST is immutable and may share subtrees (one node per
 variable, and ``partial()`` reuses the subtrees it differentiates); within
 one evaluation a shared subtree is evaluated once.
 
-Inside an evaluation a slot keeps only the batch axes along which it
-varies: on a grid (two or more batch axes) a coordinate that is constant
-along an axis has size 1 there, and numpy broadcasting widens a slot only
-where coordinates that vary along different axes meet.  On an m x m product
-grid a subtree of one coordinate thus costs O(m), not O(m^2).  Each entry is
-computed by the same operations in the same order as on the full grid, so
-the results are the same bits.  ``eval_jet`` returns fresh slots of the
-full shapes B, B+(n,), ...
+Inside an evaluation the derivative slots are derivative-major and packed
+(Taylor-mode propagation with the derivative index leading; Griewank and
+Walther, Evaluating Derivatives, 2008, ch. 13): a rank-k slot has one row
+per sorted index tuple i1 <= ... <= ik, n(n+1)/2 rows at rank 2, and the
+batch axes after them.  numpy's inner loops thus run over the batch, and
+the slots are symmetric by construction.  Products and the chain rule form
+their rows from index tables built once per n.
+
+A slot also keeps only the batch axes along which it varies: on a grid (two
+or more batch axes) a coordinate that is constant along an axis has size 1
+there, and numpy broadcasting widens a slot only where coordinates that
+vary along different axes meet.  On an m x m product grid a subtree of one
+coordinate thus costs O(m), not O(m^2).
+
+Each entry is computed by the same operations, on the same operands in the
+same order, as on the full grid in a batch-first layout, so the results are
+the same bits.  ``eval_jet`` converts once, at its boundary: it returns
+fresh C-contiguous slots of the full shapes B, B+(n,), B+(n,n), ..., batch
+first.
 """
 
 from __future__ import annotations
 
+import cmath
+import collections
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -191,39 +205,89 @@ def _diff_node(node, k):
 # Jets
 
 
-def _outer(a, b):
-    # einsum multiplies with the plain complex formula, so _outer(g, g) is
-    # exactly symmetric; numpy's SIMD multiply loop may round the imaginary
-    # parts of a*b and b*a differently.
-    return np.einsum("...i,...j->...ij", a, b)
+@functools.cache
+def _unpack(n, k):
+    """(n,)*k table of the packed position of each rank-k index tuple.
+
+    A packed slot stores the sorted index tuples i1 <= ... <= ik only, in
+    lexicographic order: n(n+1)/2 of them at rank 2.
+    """
+    pos = {t: p for p, t in enumerate(
+        itertools.combinations_with_replacement(range(n), k))}
+    return np.array([pos[tuple(sorted(t))] for t in
+                     itertools.product(range(n), repeat=k)]).reshape((n,) * k)
 
 
-def _sym_pair(h, v):
-    """P[abc] = h_ab v_c + h_ac v_b + h_bc v_a (h symmetric)."""
-    t = np.einsum("...ab,...c->...abc", h, v)
-    return t + np.swapaxes(t, -1, -2) + np.moveaxis(t, -1, -3)
+# Rows of the flattened outer products that Jet.__mul__ and Jet.compose
+# read, in packed order.  ab, ba: rows (a, b) and (b, a) of grad (x) grad,
+# for each pair a <= b; pair: rows (ab, c), (ac, b) and (bc, a) of packed
+# hess (x) grad, for each triple a <= b <= c; abc: row (a, b, c) of
+# grad (x) grad (x) grad.
+_Rows = collections.namedtuple("_Rows", "ab ba pair abc")
 
 
 @functools.cache
-def _mirror_index(n, rank):
-    """(dst, src) index tuples over the last `rank` axes: every unsorted
-    index tuple and its sorted representative."""
-    idx = np.array(list(itertools.product(range(n), repeat=rank)))
-    rep = np.sort(idx, axis=1)
-    moved = np.any(idx != rep, axis=1)
-    return ((Ellipsis, *idx[moved].T), (Ellipsis, *rep[moved].T))
+def _rows(n):
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    triples = list(itertools.combinations_with_replacement(range(n), 3))
+    h = _unpack(n, 2) * n  # row (packed ab, 0) of hess (x) grad
+    return _Rows(
+        np.array([a * n + b for a, b in pairs]),
+        np.array([b * n + a for a, b in pairs]),
+        (np.array([h[a, b] + c for a, b, c in triples]),
+         np.array([h[a, c] + b for a, b, c in triples]),
+         np.array([h[b, c] + a for a, b, c in triples])),
+        np.array([(a * n + b) * n + c for a, b, c in triples]))
 
 
-def _symmetrize(t, rank):
-    """Copy each sorted-index entry of t to its permutations, in place."""
-    dst, src = _mirror_index(t.shape[-1], rank)
-    t[dst] = t[src]
-    return t
+# einsum multiplies with the plain complex formula, so a_i b_j and b_j a_i
+# are the same bits; numpy's SIMD multiply loop may round the imaginary
+# parts of a*b and b*a differently.
+_OUTER = {2: "i...,j...->ij...", 3: "i...,j...,k...->ijk..."}
+
+
+def _outer(*factors):
+    """Outer product over the leading (derivative) axes, flattened to one
+    leading axis of rows."""
+    x = np.einsum(_OUTER[len(factors)], *factors)
+    return x.reshape((-1,) + x.shape[len(factors):])
+
+
+def _sym_pair(h, v, r):
+    """P[abc] = h_ab v_c + h_ac v_b + h_bc v_a, packed (h packed too)."""
+    t = _outer(h, v)
+    return _sum(*(t.take(rows, axis=0) for rows in r.pair))
+
+
+# The sums and products of a Jet's slots write into a fresh temporary
+# operand when it has the result's shape: on a large batch fewer arrays are
+# allocated, and fewer fresh pages faulted in.
+
+
+def _sum(*terms):
+    """terms[0] + terms[1] + ..., left to right, of fresh arrays."""
+    acc = terms[0]
+    for t in terms[1:]:
+        if t.size > acc.size:
+            acc, t = t, acc  # a + b and b + a are the same bits
+        try:
+            acc += t
+        except ValueError:  # neither operand has the sum's shape
+            acc = acc + t
+    return acc
+
+
+def _scaled(c, t):
+    """c * t for a fresh array t."""
+    try:
+        return np.multiply(c, t, out=t)
+    except ValueError:  # t lacks batch axes of c
+        return c * t
 
 
 def _zero_slots(n, order, batch_shape):
-    """Zero grad, hess, ... up to ``order``."""
-    return [np.zeros(batch_shape + (n,) * k, dtype=complex)
+    """Zero grad, hess, ... up to ``order``, packed and derivative-major."""
+    return [np.zeros((math.comb(n + k - 1, k),) + batch_shape, dtype=complex)
             for k in range(1, order + 1)]
 
 
@@ -239,29 +303,34 @@ def _varying(x):
         step //= size  # entries per index of this axis
         # one pair of entries settles most batches before all are read
         if size > 1 and x.item(0) == x.item((size - 1) * step):
-            head = x[(slice(None),) * axis + (slice(0, 1),)]
-            if ((x == head).all()
-                    and (np.signbit(x.real) == np.signbit(head.real)).all()
-                    and (np.signbit(x.imag) == np.signbit(head.imag)).all()):
-                x = head
+            head = (slice(None),) * axis + (slice(0, 1),)
+            re, im = x.real.view(np.int64), x.imag.view(np.int64)
+            # equal bits everywhere: only the head can hold a NaN
+            if ((re == re[head]).all() and (im == im[head]).all()
+                    and not np.isnan(x[head]).any()):
+                x = x[head]
     return x
 
 
 class Jet:
     """Taylor data of a scalar function at a (possibly batched) point.
 
-    value has the batch shape B; grad is B+(n,), hess B+(n,n), third
-    B+(n,n,n).  Inside an evaluation a slot may have size 1 on a batch axis
-    along which it does not vary, and broadcasts against B; the jet that
-    ``ScalarField.eval_jet`` returns has every slot at its full shape.  Only
-    the slots up to ``order`` are stored; the ones above it are None, so no
-    batch-sized array is allocated or added above the requested order.
+    Inside an evaluation the derivative slots are derivative-major and
+    packed: grad is (n,)+B, hess (n(n+1)/2,)+B and third
+    (n(n+1)(n+2)/6,)+B, each holding its sorted index tuples only (see
+    _unpack), so numpy's inner loops run over the batch and no slot needs
+    symmetrizing.  A slot may have size 1 on a batch axis along which it
+    does not vary, and broadcasts against B.  ``ScalarField.eval_jet``
+    returns full batch-first slots instead: value B, grad B+(n,), hess
+    B+(n,n), third B+(n,n,n).  Only the slots up to ``order`` are stored;
+    the ones above it are None, so no batch-sized array is allocated or
+    added above the requested order.
 
     The other operand of +, - and * may be a constant (a numpy complex):
     ``jet ± c`` changes only the value and shares the derivative arrays,
     ``c * jet`` scales each slot.  Nothing writes into a slot after the jet
     that holds it is built, so shared slots, and slots that broadcast, are
-    safe; ``_symmetrize`` writes only into the fresh sum it is given.
+    safe.
     """
 
     __slots__ = ("n", "order", "value", "grad", "hess", "third")
@@ -284,11 +353,6 @@ class Jet:
         return (self.grad, self.hess, self.third)[: self.order]
 
     @staticmethod
-    def constant(c, n, order, batch_shape):
-        value = np.full(batch_shape, complex(c), dtype=complex)
-        return Jet(n, order, value, *_zero_slots(n, order, batch_shape))
-
-    @staticmethod
     def variable(i, point, order):
         """Coordinate i, kept only along the batch axes where it varies.
 
@@ -303,7 +367,7 @@ class Jet:
         shape = x.shape if value.shape == x.shape else (1,) * x.ndim
         j = Jet(n, order, value, *_zero_slots(n, order, shape))
         if order >= 1:
-            j.grad[..., i] = 1.0
+            j.grad[i] = 1.0
         return j
 
     def __add__(self, other):
@@ -338,23 +402,19 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.n, self.order, *[s * other for s in self.slots()])
         f, g = self, other
-        fv = f.value[..., None]
-        gv = g.value[..., None]
-        out = Jet(f.n, f.order, f.value * g.value)
+        fv, gv = f.value, g.value
+        out = Jet(f.n, f.order, fv * gv)
         if f.order >= 1:
-            out.grad = f.grad * gv + fv * g.grad
+            out.grad = _sum(f.grad * gv, fv * g.grad)
         if f.order >= 2:
-            # symmetric exactly: the hessians are, and so is X + X^T
+            r = _rows(f.n)
             x = _outer(f.grad, g.grad)
-            out.hess = (f.hess * gv[..., None]
-                        + (x + np.swapaxes(x, -1, -2))
-                        + fv[..., None] * g.hess)
+            cross = _sum(x.take(r.ab, axis=0), x.take(r.ba, axis=0))
+            del x  # each term is freed before the next one is computed
+            out.hess = _sum(_sum(f.hess * gv, cross), fv * g.hess)
         if f.order >= 3:
-            out.third = _symmetrize(
-                f.third * gv[..., None, None]
-                + _sym_pair(f.hess, g.grad)
-                + _sym_pair(g.hess, f.grad)
-                + fv[..., None, None] * g.third, 3)
+            out.third = _sum(f.third * gv, _sym_pair(f.hess, g.grad, r),
+                             _sym_pair(g.hess, f.grad, r), fv * g.third)
         return out
 
     def compose(self, derivs):
@@ -366,18 +426,16 @@ class Jet:
         d = list(itertools.islice(derivs, self.order + 1))
         out = Jet(self.n, self.order, d[0])
         if self.order >= 1:
-            out.grad = d[1][..., None] * self.grad
+            out.grad = d[1] * self.grad
         if self.order >= 2:
-            # symmetric exactly: both terms are
-            out.hess = (d[1][..., None, None] * self.hess
-                        + d[2][..., None, None] * _outer(self.grad, self.grad))
+            r = _rows(self.n)
+            g = self.grad
+            gg = _scaled(d[2], _outer(g, g).take(r.ab, axis=0))
+            out.hess = _sum(d[1] * self.hess, gg)
         if self.order >= 3:
-            g1 = self.grad
-            out.third = _symmetrize(
-                d[1][..., None, None, None] * self.third
-                + d[2][..., None, None, None] * _sym_pair(self.hess, g1)
-                + d[3][..., None, None, None]
-                * np.einsum("...a,...b,...c->...abc", g1, g1, g1), 3)
+            out.third = _sum(
+                d[1] * self.third, _scaled(d[2], _sym_pair(self.hess, g, r)),
+                _scaled(d[3], _outer(g, g, g).take(r.abc, axis=0)))
         return out
 
 
@@ -555,14 +613,44 @@ def _eval_node(node, point, order, memo):
     return out
 
 
-def _full_shape(jet, batch):
-    """Give each slot of `jet` its full shape B+(n,)*k, as a fresh array,
-    whatever batch axes it varied along."""
-    names = ("value", "grad", "hess", "third")[: jet.order + 1]
-    for k, name in enumerate(names):
-        slot, shape = getattr(jet, name), batch + (jet.n,) * k
-        if slot.shape != shape:
-            setattr(jet, name, np.broadcast_to(slot, shape).copy())
+def _finite(slot):
+    """Whether every entry of a slot is finite.
+
+    The sum of |x|^2 over the slot (one BLAS pass, no temporary) is finite
+    only if every entry is; it overflows for entries above about 1e154,
+    which the entrywise check then clears.
+    """
+    return cmath.isfinite(np.vdot(slot, slot)) or np.isfinite(slot).all()
+
+
+def _batch_first(jet, n, order, batch):
+    """The jet that ``eval_jet`` returns: each slot a fresh array of its full
+    shape B+(n,)*k, batch first, whatever batch axes it varied along.  A
+    constant (a numpy complex) gets zero derivatives."""
+    if not isinstance(jet, Jet):
+        return Jet(n, order, np.full(batch, jet, dtype=complex),
+                   *[np.zeros(batch + (n,) * k, dtype=complex)
+                     for k in range(1, order + 1)])
+    names = ("grad", "hess", "third")[:order]
+    if not batch:  # a single point: the gradient is (n,) already
+        for k, name in enumerate(names[1:], 2):
+            setattr(jet, name, getattr(jet, name)[_unpack(n, k)])
+    elif len(batch) == 1:  # a flat batch has no size-1 axes
+        for k, name in enumerate(names, 1):
+            s = getattr(jet, name).T
+            s = s.copy() if k == 1 else s.take(_unpack(n, k), axis=-1)
+            setattr(jet, name, s)
+    else:  # a grid: one strided copy per entry, broadcast as it goes
+        if jet.value.shape != batch:
+            jet.value = np.broadcast_to(jet.value, batch).copy()
+        for k, name in enumerate(names, 1):
+            s = getattr(jet, name)
+            full = np.empty(batch + (n**k,), dtype=complex)
+            for j, p in enumerate(_unpack(n, k).flat):
+                full[..., j] = s[p]
+            setattr(jet, name, full.reshape(batch + (n,) * k))
+    return jet
+
 
 # ---------------------------------------------------------------------------
 # Scalar fields
@@ -603,13 +691,10 @@ class ScalarField:
         # a constant field's derivatives are zeros: only its value can fail
         slots = jet.slots() if isinstance(jet, Jet) else (jet,)
         for k, slot in enumerate(slots):
-            if not np.isfinite(slot).all():
+            if not _finite(slot):
                 what = "value" if k == 0 else f"order-{k} derivative"
                 raise DomainError(f"non-finite {what} of {self.source_text!r}")
-        if not isinstance(jet, Jet):
-            jet = Jet.constant(jet, self.dim, order, pt.shape[:-1])
-        elif pt.ndim > 2:  # a grid: its slots may lack axes
-            _full_shape(jet, pt.shape[:-1])
+        jet = _batch_first(jet, self.dim, order, pt.shape[:-1])
         if pt.ndim == 1:
             jet.value = complex(jet.value)
         return jet

@@ -83,11 +83,28 @@ class DressingProblem:
         return np.linspace(self.s_min, self.s_max, self.m)
 
 
+# Verdicts of _check_skew by potential AST, which parse() shares between
+# the fields of one text.  An entry holds its AST, so the id that keys it
+# is not reused while it lasts.  Bounded like expr's AST cache: when full,
+# the oldest entry goes.
+_SKEW_CACHE = {}
+_SKEW_CACHE_MAX = 512
+
+
 def _check_skew(phi):
-    rng = np.random.default_rng(12345)
-    xy = rng.uniform(-1.0, 1.0, size=(16, 2))
-    fwd, bwd = phi.eval_jet(np.stack([xy, xy[:, ::-1]]), 0).value
-    if np.max(np.abs(fwd + bwd)) > 1e-12:
+    entry = _SKEW_CACHE.get(id(phi.ast))
+    if entry is None:
+        rng = np.random.default_rng(12345)
+        xy = rng.uniform(-1.0, 1.0, size=(16, 2))
+        fwd, bwd = phi.eval_jet(np.stack([xy, xy[:, ::-1]]), 0).value
+        entry = phi.ast, not np.max(np.abs(fwd + bwd)) > 1e-12
+        if len(_SKEW_CACHE) >= _SKEW_CACHE_MAX:
+            try:  # another thread may be evicting at the same time
+                del _SKEW_CACHE[next(iter(_SKEW_CACHE))]
+            except (StopIteration, RuntimeError, KeyError):
+                pass
+        _SKEW_CACHE[id(phi.ast)] = entry
+    if not entry[1]:
         raise ValueError("diagonal potential is not skew-symmetric")
 
 
@@ -300,9 +317,12 @@ def _solve_row(F, nodes, a, dF=None, cond_limit=1e12):
     K = (Ainv @ rhs).T.reshape(n, n, q)
     if dF is None:
         return K, None, cond
-    drhs = dF[:, :, :, a, a:] + np.einsum(
-        "ilq,q,kljqb->kijb", K, w, dF[:, :, :, a:, a:]
-    )  # (k, i, j, b); columns: one per (k, i)
+    # drhs[k, i, j, b] = dF_kij(s_a, s_b) + sum over (l, qq) of
+    # K_il(qq) w_qq dF_klj(qq, b), the sum one matmul per k; the columns of
+    # the system are one per (k, i)
+    Kw = (K * w).reshape(n, n * q)  # [i, (l, qq)]
+    blk = dF[:, :, :, a:, a:].transpose(0, 1, 3, 2, 4).reshape(n, n * q, n * q)
+    drhs = dF[:, :, :, a, a:] + (Kw @ blk).reshape(n, n, n, q)
     dK = (Ainv @ drhs.reshape(n * n, n * q).T).T.reshape(n, n, n, q)
     return K, dK, cond
 

@@ -186,6 +186,10 @@ def mirror_loops(t, rank):
 
 
 class TestSymmetrize:
+    """Slots are packed inside an evaluation (sorted index tuples only);
+    eval_jet's boundary copies each packed entry to its permutations, as
+    the mirror loops did."""
+
     @pytest.mark.parametrize("rank", [2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("batch", [(), (5,)])
@@ -194,10 +198,14 @@ class TestSymmetrize:
         shape = batch + (n,) * rank
         t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         ref = mirror_loops(t.copy(), rank)
-        got = expr._symmetrize(t, rank)
-        assert got is t
+        slots = expr._zero_slots(n, rank, batch)
+        slots[-1] = np.stack([t[(...,) + idx] for idx in
+                              itertools.combinations_with_replacement(
+                                  range(n), rank)])
+        jet = expr.Jet(n, rank, np.zeros(batch, dtype=complex), *slots)
+        got = expr._batch_first(jet, n, rank, batch).slots()[rank]
         assert got.tobytes() == ref.tobytes()
-        # every entry now equals the one at its sorted index tuple
+        # every entry equals the one at its sorted index tuple
         for idx in np.ndindex(*(n,) * rank):
             assert np.array_equal(got[(...,) + idx],
                                   got[(...,) + tuple(sorted(idx))])
@@ -261,8 +269,24 @@ class TestRandomFieldsAgainstFiniteDifferences:
 
 # The evaluator before constants were folded, kept as the reference: every
 # Const became a batch-sized jet of zeros, every subtree was evaluated where
-# it occurs, and rank-2 products and compositions were symmetrized.  The
-# elementary-function derivatives and tensor helpers it used are unchanged.
+# it occurs, slots were full and batch first, and rank-2 products and
+# compositions were symmetrized.  The elementary-function derivatives it
+# used are unchanged; its tensor helpers follow.
+
+
+def parent_zero_slots(n, order, batch_shape):
+    return [np.zeros(batch_shape + (n,) * k, dtype=complex)
+            for k in range(1, order + 1)]
+
+
+def parent_outer(a, b):
+    return np.einsum("...i,...j->...ij", a, b)
+
+
+def parent_sym_pair(h, v):
+    """P[abc] = h_ab v_c + h_ac v_b + h_bc v_a (h symmetric)."""
+    t = np.einsum("...ab,...c->...abc", h, v)
+    return t + np.swapaxes(t, -1, -2) + np.moveaxis(t, -1, -3)
 
 
 class ParentJet:
@@ -277,13 +301,13 @@ class ParentJet:
     def constant(c, n, order, batch_shape):
         value = np.full(batch_shape, complex(c), dtype=complex)
         return ParentJet(n, order, value,
-                         *expr._zero_slots(n, order, batch_shape))
+                         *parent_zero_slots(n, order, batch_shape))
 
     @staticmethod
     def variable(i, point, order):
         n = point.shape[-1]
         j = ParentJet(n, order, point[..., i].astype(complex),
-                      *expr._zero_slots(n, order, point.shape[:-1]))
+                      *parent_zero_slots(n, order, point.shape[:-1]))
         if order >= 1:
             j.grad[..., i] = 1.0
         return j
@@ -307,16 +331,16 @@ class ParentJet:
         if f.order >= 1:
             out.grad = f.grad * gv + fv * g.grad
         if f.order >= 2:
-            out.hess = expr._symmetrize(
+            out.hess = mirror_loops(
                 f.hess * gv[..., None]
-                + expr._outer(f.grad, g.grad)
-                + expr._outer(g.grad, f.grad)
+                + parent_outer(f.grad, g.grad)
+                + parent_outer(g.grad, f.grad)
                 + fv[..., None] * g.hess, 2)
         if f.order >= 3:
-            out.third = expr._symmetrize(
+            out.third = mirror_loops(
                 f.third * gv[..., None, None]
-                + expr._sym_pair(f.hess, g.grad)
-                + expr._sym_pair(g.hess, f.grad)
+                + parent_sym_pair(f.hess, g.grad)
+                + parent_sym_pair(g.hess, f.grad)
                 + fv[..., None, None] * g.third, 3)
         return out
 
@@ -326,14 +350,14 @@ class ParentJet:
         if self.order >= 1:
             out.grad = d[1][..., None] * self.grad
         if self.order >= 2:
-            out.hess = expr._symmetrize(
+            out.hess = mirror_loops(
                 d[1][..., None, None] * self.hess
-                + d[2][..., None, None] * expr._outer(self.grad, self.grad), 2)
+                + d[2][..., None, None] * parent_outer(self.grad, self.grad), 2)
         if self.order >= 3:
             g1 = self.grad
-            out.third = expr._symmetrize(
+            out.third = mirror_loops(
                 d[1][..., None, None, None] * self.third
-                + d[2][..., None, None, None] * expr._sym_pair(self.hess, g1)
+                + d[2][..., None, None, None] * parent_sym_pair(self.hess, g1)
                 + d[3][..., None, None, None]
                 * np.einsum("...a,...b,...c->...abc", g1, g1, g1), 3)
         return out
@@ -631,25 +655,27 @@ class TestGridCompression:
             assert jet.value.shape == shape
             assert jet.value.tobytes() == pts[
                 : shape[0], : shape[1], i].astype(complex).tobytes()
-            assert jet.grad.shape == (1, 1, 2)
-            assert jet.grad.tolist() == [[[i == 0, i == 1]]]
-            assert jet.hess.shape == (1, 1, 2, 2) and not np.any(jet.hess)
-            assert jet.third.shape == (1, 1, 2, 2, 2)
+            # derivative-major and packed: n, n(n+1)/2, n(n+1)(n+2)/6 rows
+            assert jet.grad.shape == (2, 1, 1)
+            assert jet.grad.tolist() == [[[i == 0]], [[i == 1]]]
+            assert jet.hess.shape == (3, 1, 1) and not np.any(jet.hess)
+            assert jet.third.shape == (4, 1, 1) and not np.any(jet.third)
 
     def test_varying_coordinate_keeps_batch_shape(self):
         # one that varies along every axis keeps full derivative slots
         pts = np.random.default_rng(2).uniform(size=(4, 3, 2))
         jet = expr.Jet.variable(0, pts, 2)
         assert jet.value.shape == (4, 3)
-        assert jet.grad.shape == (4, 3, 2) and jet.hess.shape == (4, 3, 2, 2)
+        assert jet.grad.shape == (2, 4, 3) and jet.hess.shape == (3, 4, 3)
 
     def test_flat_batch_is_not_probed(self):
         jet = expr.Jet.variable(0, np.full((5, 2), 0.5), 1)
-        assert jet.value.shape == (5,) and jet.grad.shape == (5, 2)
+        assert jet.value.shape == (5,) and jet.grad.shape == (2, 5)
 
     @pytest.mark.parametrize("column", [
         [0.0, -0.0], [-0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [np.nan, np.nan],
         [np.nan, 0.5, np.nan], [complex(0.5, 0.0), complex(0.5, -0.0)],
+        [0.5, np.nan],  # the first entries agree, so the full check runs
     ])
     def test_signed_zeros_and_nan_not_merged(self, column):
         # the column runs along axis 1 and repeats along axis 0, where a
@@ -669,17 +695,26 @@ class TestGridCompression:
         assert np.array_equal(np.signbit(got.value.real),
                               np.signbit(pts[..., 0]))
 
-    @pytest.mark.parametrize("text", ["u1", "u2 + 3", "(u1+0.2)^2*u2",
-                                      "exp(u1) - u1", "2"])
-    def test_slots_full_fresh_and_writeable(self, text):
-        pts = grid_points(np.random.default_rng(3), (4, 3, 2),
-                          [(0,), (1, 2)])
+    @pytest.mark.parametrize("text,batch", [
+        # the grid cases keep their ids from before flat batches were added
+        pytest.param(text, batch, id=text if len(batch) > 1
+                     else f"{text}-batch{batch}".replace(" ", ""))
+        for batch in [(4, 3, 2), (5,), ()]
+        for text in ["u1", "u2 + 3", "(u1+0.2)^2*u2", "exp(u1) - u1", "2"]])
+    def test_slots_full_fresh_and_writeable(self, text, batch):
+        rng = np.random.default_rng(3)
+        if len(batch) > 1:
+            pts = grid_points(rng, batch, [(0,), (1, 2)])
+        else:
+            pts = rng.uniform(0.2, 1.3, size=batch + (2,))
         f = expr.parse(text, 2)
         a, b = f.eval_jet(pts, 3), f.eval_jet(pts, 3)
-        slots = a.slots() + b.slots()
+        # a single point's value is a Python complex, not an array
+        first = 0 if batch else 1
+        slots = a.slots()[first:] + b.slots()[first:]
         for jet in (a, b):
-            for k, slot in enumerate(jet.slots()):
-                assert slot.shape == (4, 3, 2) + (2,) * k
+            for k, slot in enumerate(jet.slots()[first:], first):
+                assert slot.shape == batch + (2,) * k
                 assert slot.flags.writeable and slot.flags.c_contiguous
         for x, y in itertools.combinations(slots, 2):
             assert not np.shares_memory(x, y)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from flatpencil import expr
+from flatpencil import expr, zakharov
 from flatpencil.errors import SingularOperator, TruncationWarning
 from flatpencil.lame import RotationCoeffs, lame_residuals
 from flatpencil.zakharov import (
@@ -54,10 +54,27 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             DressingProblem(1, phi, np.array([0.0]), 0.0, 1.0, 8)
 
-    def test_skew_check_evaluates_each_diagonal_once(self, count_calls):
+    def test_skew_check_evaluates_each_diagonal_once(self, count_calls,
+                                                     monkeypatch):
+        # an empty verdict cache, whatever ran before
+        monkeypatch.setattr(zakharov, "_SKEW_CACHE", {})
         calls = count_calls(expr.ScalarField, "eval_jet")
         p = criterion7_problem()
         assert calls == [p.Phi[0, 0], p.Phi[1, 1]]
+        # fields parsed again from the same texts share the ASTs, whose
+        # verdicts are kept
+        criterion7_problem(u=(0.25, 0.45))
+        assert len(calls) == 2
+
+    def test_non_skew_diagonal_raises_every_time(self, count_calls,
+                                                 monkeypatch):
+        monkeypatch.setattr(zakharov, "_SKEW_CACHE", {})
+        calls = count_calls(expr.ScalarField, "eval_jet")
+        for _ in range(3):
+            phi = {(0, 0): expr.parse("u1*u2", 2)}
+            with pytest.raises(ValueError, match="skew"):
+                DressingProblem(1, phi, np.array([0.0]), 0.0, 1.0, 8)
+        assert len(calls) == 1  # the verdict is kept, and still raises
 
     def test_skew_diagonal_accepted(self):
         phi = {(0, 0): expr.parse("(u1-u2)*exp(-u1^2-u2^2)", 2)}
