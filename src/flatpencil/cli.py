@@ -131,11 +131,9 @@ def _build_metric(job, key, manifest, dim):
         if not isinstance(diagonal, list) or len(diagonal) != dim:
             raise ManifestError(
                 f"metric {name!r}: diagonal needs {dim} entries")
-        fields = [
-            _parse_field(_resolve(t, expressions), dim, name)
-            for t in diagonal
-        ]
-        return MetricField.diagonal(fields, CONTRAVARIANT)
+        return MetricField.diagonal(
+            [_parse_field(_resolve(t, expressions), dim, name)
+             for t in diagonal], CONTRAVARIANT)
     if "entries" in spec:
         rows = spec["entries"]
         if not (isinstance(rows, list) and len(rows) == dim
@@ -222,33 +220,38 @@ def _dumps(report):
     return json.dumps(_jsonify(report), sort_keys=True, allow_nan=False)
 
 
+def _pair(job, g1, g2, pts, seed, tol):
+    """The pair g1, g2 at pts with the job's lambdas and tolerance."""
+    return MetricPair(g1, g2, pts, lambda_samples=_lambdas(job, seed),
+                      tol=_real(job, "tol", tol))
+
+
+def _equivalence(pair, residual_side, residuals):
+    """Verdicts of a construction job: the flat-pencil check of its pair
+    against the vanishing of the construction's own residuals, which fails
+    closed on NaN (NaN < tol is False)."""
+    flat = check_flat_pencil(pair)
+    verdicts = {
+        "flat_pencil": flat.passed,
+        "residuals_vanish": residual_side,
+        "equivalence": flat.passed == residual_side,
+    }
+    return verdicts, {**residuals, **flat.max_residuals}, flat.witnesses
+
+
 def _run_pair_job(job, manifest, seed, tol):
     dim = _dim(job, manifest)
     g1, g2 = (_build_metric(job, key, manifest, dim) for key in ("g1", "g2"))
-    pts = _sampling(job, dim, seed)
-    pair = MetricPair(g1, g2, pts, lambda_samples=_lambdas(job, seed),
-                      tol=_real(job, "tol", tol))
+    pair = _pair(job, g1, g2, _sampling(job, dim, seed), seed, tol)
     if job["kind"] == "flat-pencil":
         rep = full_report(pair)
-        verdicts = {
-            "almost_compatible": rep.almost_compatible,
-            "compatible": rep.compatible,
-            "flat_pencil": rep.flat_pencil,
-            "nonsingular": rep.nonsingular,
-        }
-        residuals = rep.max_residuals
-        witnesses = rep.witnesses
-    else:
-        comp = check_compatible(pair)
-        residuals = comp.max_residuals
-        verdicts = {
-            "almost_compatible": all(
-                residuals[k] < pair.tol for k in ("nijenhuis", "M")
-            ),
-            "compatible": comp.passed,
-        }
-        witnesses = comp.witnesses
-    return verdicts, residuals, witnesses
+        verdicts = {k: getattr(rep, k) for k in (
+            "almost_compatible", "compatible", "flat_pencil", "nonsingular")}
+        return verdicts, rep.max_residuals, rep.witnesses
+    comp = check_compatible(pair)
+    almost = all(comp.max_residuals[k] < pair.tol for k in ("nijenhuis", "M"))
+    verdicts = {"almost_compatible": almost, "compatible": comp.passed}
+    return verdicts, comp.max_residuals, comp.witnesses
 
 
 def _run_lame_job(job, manifest, seed, tol):
@@ -259,53 +262,30 @@ def _run_lame_job(job, manifest, seed, tol):
     data = LameData(H, f)
     pts = _sampling(job, dim, seed)
     r1, r2, r3 = lame_residuals(rotation_from_H(data), pts, f)
-    g1, g2 = assemble_pair(data)
-    pair = MetricPair(g1, g2, pts, lambda_samples=_lambdas(job, seed),
-                      tol=_real(job, "tol", tol))
-    flat = check_flat_pencil(pair)
-    residual_side = all(r < pair.tol for r in (r1, r2, r3))
-    verdicts = {
-        "flat_pencil": flat.passed,
-        "residuals_vanish": bool(residual_side),
-        "equivalence": flat.passed == residual_side,
-    }
-    residuals = {"lam_system": float(abs(r1)), "lam_divergence": float(abs(r2)),
-                 "lam_reduction": float(abs(r3)), **flat.max_residuals}
-    return verdicts, residuals, flat.witnesses
+    pair = _pair(job, *assemble_pair(data), pts, seed, tol)
+    return _equivalence(
+        pair, all(r < pair.tol for r in (r1, r2, r3)),
+        {"lam_system": r1, "lam_divergence": r2, "lam_reduction": r3})
 
 
 def _run_twocomp_job(job, manifest, seed, tol):
     expressions = _expressions(manifest)
-    get = lambda key: _resolve(job[key], expressions)
+    field = lambda key, dim: _parse_field(_resolve(job[key], expressions),
+                                          dim, key)
     eps = _read(job, "eps", [-1, 1],
                 lambda v: isinstance(v, list) and len(v) == 2
                 and all(_is_real(e) and e in (-1, 1) for e in v),
                 "a pair of signs, each -1 or 1")
-    m = TwoCompModel(
-        _parse_field(get("b1"), 2, "b1"),
-        _parse_field(get("b2"), 2, "b2"),
-        _parse_field(get("F"), 2, "F"),
-        *map(int, eps),
-        _parse_field(get("f1"), 1, "f1"),
-        _parse_field(get("f2"), 1, "f2"),
-    )
+    m = TwoCompModel(field("b1", 2), field("b2", 2), field("F", 2),
+                     *map(int, eps), field("f1", 1), field("f2", 1))
     pts = _sampling(job, 2, seed)
     job_tol = _real(job, "tol", tol)
     sys_check = check_sys(m, pts, job_tol)
     lequa_check = check_lequa(m, pts, job_tol)
-    g1, g2 = assemble_two_metrics(m)
-    pair = MetricPair(g1, g2, pts, lambda_samples=_lambdas(job, seed),
-                      tol=job_tol)
-    flat = check_flat_pencil(pair)
-    residual_side = sys_check.passed and lequa_check.passed
-    verdicts = {
-        "flat_pencil": flat.passed,
-        "residuals_vanish": bool(residual_side),
-        "equivalence": flat.passed == residual_side,
-    }
-    residuals = {**sys_check.max_residuals, **lequa_check.max_residuals,
-                 **flat.max_residuals}
-    return verdicts, residuals, flat.witnesses
+    pair = _pair(job, *assemble_two_metrics(m), pts, seed, tol)
+    return _equivalence(
+        pair, sys_check.passed and lequa_check.passed,
+        {**sys_check.max_residuals, **lequa_check.max_residuals})
 
 
 def _potential_index(key, dim):

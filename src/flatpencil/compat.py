@@ -28,12 +28,11 @@ from .errors import DegenerateMetric
 from .expr import constant
 from .geometry import (
     CONTRAVARIANT,
-    DEGENERACY_TOL,
     MetricField,
-    _entry_jets,
-    _geometry_from_entries,
     affinor_from_jets,
+    degenerate,
     geometry_jet,
+    member_jet,
     nijenhuis,
     roots_and_gap,
     tensor_M_from_jets,
@@ -169,36 +168,27 @@ def _flatness_residual(j):
     return _abs_max(j.riemann_upup, lead) / scale
 
 
-def _member_jet(l1, E1, l2, E2, point):
-    """GeometryJet of the pencil member l1*g1 + l2*g2 from the entry jets
-    E1, E2 of g1 and g2 (linear in lambda, so exact)."""
-    return _geometry_from_entries(*(l1 * a + l2 * b for a, b in zip(E1, E2)),
-                                  CONTRAVARIANT, point)
-
-
 _STAGES = ("almost", "compatible", "flat", "full")
 
 
 def _pass(pair, stage):
     """One sweep over the sample points with everything `stage` needs.
 
-    At each point the entries of g1 and g2 are evaluated once; their jets
-    give the geometry of g1, of g2 and, from "compatible" on, of each
-    sampled pencil member, which serves both linearity and flatness.  The
-    affinor, Nijenhuis and M tensors and the eigen-gap come from the jets
-    of g1 and g2.  Returns the residuals and, for "full", whether the
-    pencil eigenvalues stay apart at every point.
+    At each point the entries of g1 and g2 are evaluated once, by their
+    `geometry_jet`; those entry jets also give, from "compatible" on, the
+    geometry of each sampled pencil member, which serves both linearity and
+    flatness.  The affinor, Nijenhuis and M tensors and the eigen-gap come
+    from the jets of g1 and g2.  Returns the residuals and, for "full",
+    whether the pencil eigenvalues stay apart at every point.
     """
     depth = _STAGES.index(stage)
     lambdas = pair.lambda_samples if depth >= 1 else []
     w = _Worst()
     nonsingular = True
     for p in pair.sample_points:
-        pt = np.asarray(p, dtype=complex)
-        E1 = _entry_jets(pair.g1, pt, 2)
-        E2 = _entry_jets(pair.g2, pt, 2)
-        j1 = _geometry_from_entries(*E1, CONTRAVARIANT, pt)
-        j2 = _geometry_from_entries(*E2, CONTRAVARIANT, pt)
+        j1, j2 = geometry_jet(pair.g1, p), geometry_jet(pair.g2, p)
+        E1 = (j1.g_up, j1.dg_up, j1.d2g_up)
+        E2 = (j2.g_up, j2.dg_up, j2.d2g_up)
         scale = 1.0 + max(
             np.max(np.abs(j1.g_up)), np.max(np.abs(j2.g_up)),
             np.max(np.abs(j1.gamma_contra)), np.max(np.abs(j2.gamma_contra)),
@@ -209,13 +199,7 @@ def _pass(pair, stage):
 
         jets = [((1.0, 0.0), j1), ((0.0, 1.0), j2)]
         for l1, l2 in lambdas:
-            try:
-                jc = _member_jet(l1, E1, l2, E2, pt)
-            except DegenerateMetric as exc:
-                raise DegenerateMetric(
-                    np.asarray(p), exc.absdet,
-                    context=f"pencil member lambda=({l1}, {l2})",
-                ) from exc
+            jc = member_jet(l1, E1, l2, E2, p)
             jets.append(((l1, l2), jc))
             target_g = l1 * j1.gamma_contra + l2 * j2.gamma_contra
             target_r = l1 * j1.riemann_upup + l2 * j2.riemann_upup
@@ -300,13 +284,14 @@ def check_constant_curvature(g, K, points, tol=DEFAULT_TOL):
     return CheckResult(w.res["constant_curvature"] < tol, w.res, w.wit)
 
 
-def _check_eta(eta):
+def _eta_up(eta):
+    """The inverse of a symmetric, nondegenerate constant metric eta."""
     eta = np.asarray(eta, dtype=complex)
     if not np.array_equal(eta, eta.T):
         raise ValueError("eta must be symmetric")
-    if abs(np.linalg.det(eta)) < DEGENERACY_TOL:
+    if degenerate(eta)[0]:
         raise ValueError("eta must be nondegenerate")
-    return eta
+    return np.linalg.inv(eta)
 
 
 def _bracket_metric(eta_up, X, c=0.0):
@@ -343,7 +328,7 @@ def dubrovin_construct_and_check(eta, f, c, points, tol=DEFAULT_TOL,
     f^j and of the mixed second-derivative condition are reported, together
     with the flat-pencil verdict of the constructed pair.
     """
-    eta_up = np.linalg.inv(_check_eta(eta))
+    eta_up = _eta_up(eta)
     pts = np.atleast_2d(np.asarray(points))
 
     g1 = _bracket_metric(eta_up, f, c)
@@ -375,11 +360,12 @@ def mokhov_bracket_metric(eta, h, points, tol=DEFAULT_TOL):
     """Metric of the bracket ansatz g2^{ij} = eta^{is} d_s h^j + eta^{js} d_s h^i.
 
     Returns (g2 field, connection coefficients b^{ij}_k as a callable of the
-    point, CheckResult).  When g2 is nondegenerate at all points the verdict
-    is full compatibility against eta; otherwise only the connection-level
-    linearity against b is checked (the construction allows degenerate g2).
+    point, CheckResult).  When g2 is nondegenerate at all points, by the
+    rule of `geometry.degenerate`, the verdict is full compatibility against
+    eta; otherwise only the connection-level linearity against b is checked
+    (the construction allows degenerate g2).
     """
-    eta_up = np.linalg.inv(_check_eta(eta))
+    eta_up = _eta_up(eta)
     pts = np.atleast_2d(np.asarray(points))
 
     g2 = _bracket_metric(eta_up, h)
@@ -389,8 +375,7 @@ def mokhov_bracket_metric(eta, h, points, tol=DEFAULT_TOL):
         """b^{ij}_k at one point (n,) or a batch (..., n)."""
         return _bracket_hessians(eta_up, h, point)[1]
 
-    degenerate = np.any(np.abs(np.linalg.det(g2.values(pts))) < DEGENERACY_TOL)
-    if not degenerate:
+    if not degenerate(g2.values(pts))[0].any():
         pair = MetricPair(g1, g2, pts, tol=tol)
         return g2, b_at, check_compatible(pair)
 
@@ -398,12 +383,12 @@ def mokhov_bracket_metric(eta, h, points, tol=DEFAULT_TOL):
     # must have Christoffel symbols -lambda2 * b (eta contributes none).
     w = _Worst()
     for p, b in zip(pts, b_at(pts)):
-        pt = np.asarray(p, dtype=complex)
-        E1, E2 = _entry_jets(g1, pt, 2), _entry_jets(g2, pt, 2)
+        # entry jets, not geometry_jet: g2 may be degenerate at p
+        E1, E2 = g1.entry_jets(p, 2), g2.entry_jets(p, 2)
         used = 0
         for l1, l2 in [(1.0, 0.5), (1.0, -0.5), (2.0, 0.25)]:
             try:
-                jc = _member_jet(l1, E1, l2, E2, pt)
+                jc = member_jet(l1, E1, l2, E2, p)
             except DegenerateMetric:
                 continue  # this lambda hits a pencil eigenvalue; skip it
             used += 1
@@ -420,8 +405,7 @@ def associativity_residual(eta, Phi, points):
 
     eta^{sp} Phi_{pi} Phi_{sjk} must be symmetric under i <-> k.
     """
-    eta = _check_eta(eta)
-    eta_up = np.linalg.inv(eta)
+    eta_up = _eta_up(eta)
     jet = Phi.eval_jet(np.atleast_2d(np.asarray(points)), 3)
     lhs = np.einsum("sp,...pi,...sjk->...ijk", eta_up, jet.hess, jet.third)
     res = lhs - np.einsum("...ijk->...kji", lhs)

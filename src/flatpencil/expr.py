@@ -974,11 +974,12 @@ class _Parser:
         raise ParseError(f"unexpected token {t.text!r}", t.pos)
 
 
-# The AST is immutable, so the fields parsed from one (text, dim) share it,
-# and its _shared_nodes map.  Bounded like the pattern cache of `re`: when
-# full, the oldest entry goes.
-_AST_CACHE = {}
-_AST_CACHE_MAX = 512
+@functools.lru_cache(maxsize=512)
+def _parsed(text, dim):
+    """The AST of (text, dim) and its _shared_nodes map.  The AST is
+    immutable, so the fields parsed from one (text, dim) share both."""
+    ast = _Parser(text, dim).parse()
+    return ast, _shared_nodes(ast)
 
 
 def parse(text, dim):
@@ -990,17 +991,7 @@ def parse(text, dim):
         raise ParseError("empty expression", 0)
     if dim < 1:
         raise ValueError("dimension must be positive")
-    key = (text, dim)
-    cached = _AST_CACHE.get(key)
-    if cached is None:
-        ast = _Parser(text, dim).parse()
-        cached = ast, _shared_nodes(ast)
-        if len(_AST_CACHE) >= _AST_CACHE_MAX:
-            try:  # another thread may be evicting at the same time
-                del _AST_CACHE[next(iter(_AST_CACHE))]
-            except (StopIteration, RuntimeError, KeyError):
-                pass
-        _AST_CACHE[key] = cached
-    field = ScalarField(text, cached[0], dim)
-    object.__setattr__(field, "_shared", cached[1])
+    ast, shared = _parsed(text, dim)
+    field = ScalarField(text, ast, dim)
+    object.__setattr__(field, "_shared", shared)
     return field

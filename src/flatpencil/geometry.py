@@ -78,10 +78,40 @@ class MetricField:
         }
         return MetricField.from_upper(upper, variance)
 
+    def entry_jets(self, point, order):
+        """Entry values and partials at one point (n,) or a batch (..., n):
+        V[..., i, j], d[..., k, i, j] = d_k V_ij and d2[..., k, l, i, j];
+        the partials above `order` are None.  The one entry loop: every
+        geometry function starts from it."""
+        pt = np.asarray(point, dtype=complex)
+        n = self.dim
+        if pt.shape[-1] != n:  # as eval_jet would say, which literals skip
+            raise ArityError(
+                f"point has {pt.shape[-1]} components, field has dim {n}")
+        batch = pt.shape[:-1]
+        V = np.empty(batch + (n, n), dtype=complex)
+        d = np.empty(batch + (n,) * 3, dtype=complex) if order >= 1 else None
+        d2 = np.empty(batch + (n,) * 4, dtype=complex) if order >= 2 else None
+        for i in range(n):
+            for j in range(i, n):
+                f = self.entries[i][j]
+                if isinstance(f.ast, Const) and np.isfinite(f.ast.value):
+                    # a literal: its jet is known without evaluating it
+                    value, grad, hess = f.ast.value, 0, 0
+                else:
+                    jet = f.eval_jet(pt, order)
+                    value, grad, hess = jet.value, jet.grad, jet.hess
+                V[..., i, j] = V[..., j, i] = value
+                if d is not None:
+                    d[..., :, i, j] = d[..., :, j, i] = grad
+                if d2 is not None:
+                    d2[..., :, :, i, j] = d2[..., :, :, j, i] = hess
+        return V, d, d2
+
     def values(self, point):
         """Entry matrix at one point (n,) or at a batch (..., n) of points,
         with shape (..., n, n)."""
-        return _entry_jets(self, point, 0)[0]
+        return self.entry_jets(point, 0)[0]
 
 
 def linear_combination(l1, g1, l2, g2):
@@ -120,55 +150,31 @@ class Affinor:
     dv: np.ndarray  # [s,i,j] = d v^i_j / d u^s
 
 
-def _entry_jets(g, point, order):
-    """Entry values and partials of a metric at one point (n,) or a batch
-    (..., n): V[..., i, j], d[..., k, i, j] = d_k V_ij and d2[..., k, l, i, j];
-    the partials above `order` are None."""
-    pt = np.asarray(point, dtype=complex)
-    n = g.dim
-    if pt.shape[-1] != n:  # as eval_jet would say, which literals skip
-        raise ArityError(
-            f"point has {pt.shape[-1]} components, field has dim {n}")
-    batch = pt.shape[:-1]
-    V = np.empty(batch + (n, n), dtype=complex)
-    d = np.empty(batch + (n,) * 3, dtype=complex) if order >= 1 else None
-    d2 = np.empty(batch + (n,) * 4, dtype=complex) if order >= 2 else None
-    for i in range(n):
-        for j in range(i, n):
-            f = g.entries[i][j]
-            if isinstance(f.ast, Const) and np.isfinite(f.ast.value):
-                # a literal: its jet is known without evaluating it
-                value, grad, hess = f.ast.value, 0, 0
-            else:
-                jet = f.eval_jet(pt, order)
-                value, grad, hess = jet.value, jet.grad, jet.hess
-            V[..., i, j] = V[..., j, i] = value
-            if d is not None:
-                d[..., :, i, j] = d[..., :, j, i] = grad
-            if d2 is not None:
-                d2[..., :, :, i, j] = d2[..., :, :, j, i] = hess
-    return V, d, d2
+def degenerate(V):
+    """Which of the matrices V (..., n, n) are degenerate, and their |det|.
+
+    The package's one degeneracy rule: |det V| < DEGENERACY_TOL *
+    max(1, max |V_ij|)^n, relative to the size of V's own entries, so that
+    a matrix and any multiple of it get the same answer.
+    """
+    n = V.shape[-1]
+    scale = np.maximum(1.0, np.abs(V).max(axis=(-2, -1)))
+    absdet = np.abs(np.linalg.det(V))
+    return absdet < DEGENERACY_TOL * scale**n, absdet
 
 
 def _checked_inverse(V, point):
     """inv(V) of shape (..., n, n); DegenerateMetric names the first point
-    in batch order whose |det V| is tiny for its own V."""
-    n = V.shape[-1]
-    scale = np.maximum(1.0, np.abs(V).max(axis=(-2, -1)))
-    det = np.linalg.det(V)
-    bad = np.abs(det) < DEGENERACY_TOL * scale**n
+    in batch order whose V is degenerate."""
+    bad, absdet = degenerate(V)
     if bad.any():
         k = np.unravel_index(np.argmax(bad), bad.shape)
-        raise DegenerateMetric(np.asarray(point)[k], abs(det[k]))
+        raise DegenerateMetric(np.asarray(point)[k], absdet[k])
     return np.linalg.inv(V)
 
 
 def _geometry_from_entries(V, d, d2, variance, point):
-    """GeometryJet at `point` (n,) or (..., n) from order-2 entry jets.
-
-    The entry jets of a pencil member l1*g1 + l2*g2 are l1*E1 + l2*E2,
-    exactly, so members need no expression of their own.
-    """
+    """GeometryJet at `point` (n,) or (..., n) from order-2 entry jets."""
     W = _checked_inverse(V, point)
     # d_k W = -W d_k V W and d_l d_k W, with k (and l) as matmul batch axes
     Wk, dk = W[..., None, :, :], d[..., :, None, :, :]
@@ -234,7 +240,22 @@ def geometry_jet(g, point):
     needs second metric derivatives, supplied exactly by the jets.
     """
     pt = np.asarray(point, dtype=complex)
-    return _geometry_from_entries(*_entry_jets(g, pt, 2), g.variance, pt)
+    return _geometry_from_entries(*g.entry_jets(pt, 2), g.variance, pt)
+
+
+def member_jet(l1, E1, l2, E2, point):
+    """GeometryJet of the pencil member l1*g1 + l2*g2 of two contravariant
+    metrics from their order-2 entry jets E1 and E2 = (V, d, d2), such as
+    a contravariant GeometryJet's (g_up, dg_up, d2g_up).  Entry jets are
+    linear in the metric, so the member's are l1*E1 + l2*E2 exactly.  A
+    degenerate member raises DegenerateMetric naming its lambda."""
+    try:
+        return _geometry_from_entries(
+            *(l1 * a + l2 * b for a, b in zip(E1, E2)), CONTRAVARIANT, point)
+    except DegenerateMetric as exc:
+        raise DegenerateMetric(
+            exc.point, exc.absdet,
+            context=f"pencil member lambda=({l1}, {l2})") from exc
 
 
 def affinor_from_jets(j1, j2):
@@ -305,8 +326,8 @@ def pencil_eigenvalues(g1, g2, point):
     if g1.variance != CONTRAVARIANT:
         raise ValueError("pencil eigenvalues expect contravariant metrics")
     pt = np.asarray(point, dtype=complex)
-    up1 = _entry_jets(g1, pt, 0)[0]
+    up1 = g1.values(pt)
     _checked_inverse(up1, pt)
-    V2 = _entry_jets(g2, pt, 0)[0]
+    V2 = g2.values(pt)
     W2 = _checked_inverse(V2, pt)
     return roots_and_gap(up1 @ (W2 if g2.variance == CONTRAVARIANT else V2))

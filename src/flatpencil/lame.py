@@ -205,26 +205,23 @@ def write_beta_grid(path, beta, s_min, s_max):
 
     Layout: little-endian int64 N, int64 m, float64 s_min, float64 s_max,
     then the (N, N, m) array in row-major order as interleaved
-    (re, im) float64 pairs.
+    (re, im) float64 pairs, which is numpy's '<c16'.
     """
-    arr = np.ascontiguousarray(beta, dtype=complex)
+    arr = np.ascontiguousarray(beta, dtype="<c16")
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1]:
         raise ValueError("beta grid must have shape (N, N, m)")
     n, _, m = arr.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(n, m, float(s_min), float(s_max)))
-        flat = np.empty(arr.size * 2, dtype="<f8")
-        flat[0::2] = arr.real.ravel()
-        flat[1::2] = arr.imag.ravel()
-        fh.write(flat.tobytes())
+        fh.write(arr.tobytes())
 
 
 def read_beta_grid(path):
     """Inverse of write_beta_grid; returns (beta, s_min, s_max)."""
     with open(path, "rb") as fh:
         n, m, s_min, s_max = _HEADER.unpack(fh.read(_HEADER.size))
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    if flat.size != 2 * n * n * m:
+        payload = bytearray(fh.read())  # writable, as the array it backs
+    if len(payload) != 16 * n * n * m:
         raise ValueError("beta grid payload size mismatch")
-    beta = (flat[0::2] + 1j * flat[1::2]).reshape(n, n, m)
+    beta = np.frombuffer(payload, dtype="<c16").reshape(n, n, m)
     return beta, s_min, s_max

@@ -30,6 +30,7 @@ and 64 nodes, the reduction residual is 1.8e-3 from the scaled kernel and
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -83,29 +84,21 @@ class DressingProblem:
         return np.linspace(self.s_min, self.s_max, self.m)
 
 
-# Verdicts of _check_skew by potential AST, which parse() shares between
-# the fields of one text.  An entry holds its AST, so the id that keys it
-# is not reused while it lasts.  Bounded like expr's AST cache: when full,
-# the oldest entry goes.
-_SKEW_CACHE = {}
-_SKEW_CACHE_MAX = 512
-
-
 def _check_skew(phi):
-    entry = _SKEW_CACHE.get(id(phi.ast))
-    if entry is None:
-        rng = np.random.default_rng(12345)
-        xy = rng.uniform(-1.0, 1.0, size=(16, 2))
-        fwd, bwd = phi.eval_jet(np.stack([xy, xy[:, ::-1]]), 0).value
-        entry = phi.ast, not np.max(np.abs(fwd + bwd)) > 1e-12
-        if len(_SKEW_CACHE) >= _SKEW_CACHE_MAX:
-            try:  # another thread may be evicting at the same time
-                del _SKEW_CACHE[next(iter(_SKEW_CACHE))]
-            except (StopIteration, RuntimeError, KeyError):
-                pass
-        _SKEW_CACHE[id(phi.ast)] = entry
-    if not entry[1]:
+    if not _is_skew(phi.ast, phi.source_text):
         raise ValueError("diagonal potential is not skew-symmetric")
+
+
+@functools.lru_cache(maxsize=512)
+def _is_skew(ast, text):
+    """Whether the two-variable potential `text`, parsed to `ast`, is skew,
+    phi(x, y) = -phi(y, x), at 16 seeded points.  Kept per value, so the
+    fields that parse() makes from one text share one verdict."""
+    rng = np.random.default_rng(12345)
+    xy = rng.uniform(-1.0, 1.0, size=(16, 2))
+    phi = ScalarField(text, ast, 2)
+    fwd, bwd = phi.eval_jet(np.stack([xy, xy[:, ::-1]]), 0).value
+    return not np.max(np.abs(fwd + bwd)) > 1e-12
 
 
 @dataclass

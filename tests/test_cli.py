@@ -5,9 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from flatpencil import cli
+from flatpencil import cli, expr
 from flatpencil.cli import main, run_identities
+from flatpencil.compat import (
+    MetricPair,
+    default_lambda_samples,
+    full_report,
+    sample_points,
+)
 from flatpencil.expr import ScalarField
+from flatpencil.geometry import CONTRAVARIANT, MetricField
 from flatpencil.lame import read_beta_grid
 
 
@@ -103,6 +110,25 @@ class TestRunCommand:
         assert main(["run", path]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert [json.loads(l)["job"] for l in lines] == [0, 1]
+
+    def test_entries_metric_equals_the_library_pair(self, tmp_path, capsys):
+        # a full symmetric matrix, one entry given by name
+        payload = pair_manifest({})
+        payload["metrics"]["full"] = {
+            "entries": [["conf", "u1*u2/4"], ["u1*u2/4", "2+u2"]]}
+        payload["jobs"][0]["g1"] = "full"
+        assert main(["run", write_manifest(tmp_path, payload)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        e = lambda text: expr.parse(text, 2)
+        off = e("u1*u2/4")
+        g1 = MetricField.from_upper(
+            {(0, 0): e("exp(u1*u2)"), (0, 1): off, (1, 1): e("2+u2")},
+            CONTRAVARIANT)
+        pts = sample_points(2, 10, seed=0)
+        rep = full_report(MetricPair(g1, MetricField.from_constant(
+            np.eye(2)), pts, default_lambda_samples(0)))
+        assert report["max_residuals"] == rep.max_residuals
+        assert report["verdicts"]["compatible"] == rep.compatible
 
     def test_explicit_lambda_samples(self, tmp_path, capsys):
         payload = pair_manifest({"flat_pencil": True})
@@ -348,6 +374,12 @@ def _entries_not_square():
     return payload
 
 
+def _entries_not_symmetric():
+    payload = _with_job(g1="full")
+    payload["metrics"]["full"] = {"entries": [["1", "u1"], ["u2", "1"]]}
+    return payload
+
+
 def _run(payload):
     return lambda tmp: ["run", write_manifest(tmp, payload)]
 
@@ -379,6 +411,10 @@ INPUT_ERRORS = {
     "missing-dim": (_run(_without_dim()), "'dim'"),
     "entries-not-square": (_run(_entries_not_square()), "2x2"),
     "diagonal-too-long": (_run(_diagonal_too_long()), "2 entries"),
+    "entries-not-symmetric": (_run(_entries_not_symmetric()),
+                              "'full' not symmetric"),
+    "assert-unknown-verdict": (
+        _run(_with_job(**{"assert": {"flat": True}})), "no verdict named"),
     "count-not-integer": (_run(_with_job(sampling={"count": "x"})), "count"),
     "dressing-row-outside": (_run({"version": 1, "jobs": [{
         "kind": "dressing", "dim": 2, "phi": {"0,1": GAUSSIAN},

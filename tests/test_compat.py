@@ -24,9 +24,10 @@ from flatpencil.geometry import (
     CONTRAVARIANT,
     GeometryJet,
     MetricField,
-    _entry_jets,
+    degenerate,
     geometry_jet,
     linear_combination,
+    member_jet,
 )
 
 PTS = sample_points(2, 8, seed=11, lo=0.3, hi=1.8)
@@ -186,11 +187,11 @@ class TestMembersByLinearity:
         g1, g2 = nondiagonal_3d_pair()
         lambdas = [(1.0, 1.0), (2.0, -3.0), (0.4 - 1.3j, 0.7 + 0.2j)]
         for p in sample_points(3, 4, seed=5, lo=0.3, hi=1.5):
-            E1 = _entry_jets(g1, p, 2)
-            E2 = _entry_jets(g2, p, 2)
+            E1 = g1.entry_jets(p, 2)
+            E2 = g2.entry_jets(p, 2)
             for l1, l2 in lambdas:
                 ref = geometry_jet(linear_combination(l1, g1, l2, g2), p)
-                assert jets_equal(compat._member_jet(l1, E1, l2, E2, p), ref)
+                assert jets_equal(member_jet(l1, E1, l2, E2, p), ref)
 
     def test_mokhov_fallback_with_nonzero_b_matches_expression_route(self):
         # g2 = [[2 u1^2, 2 u2 (1 + u1)], [2 u2 (1 + u1), 0]] is degenerate at
@@ -332,6 +333,34 @@ class TestBracketMetric:
         _, b_at, r = mokhov_bracket_metric(eta, h, PTS)
         assert "gamma_linearity" in r.max_residuals
         assert r.passed  # b = 0 and all combos constant
+
+    def test_scaled_near_degenerate_g2_falls_back(self):
+        # g2 = 1000 * [[1, 1], [1, 1 + 2.5e-11]]: |det| = 5e-5 is tiny for
+        # entries near 1e3, so g2 is degenerate by the rule of
+        # geometry.degenerate, and the check takes the connection-level
+        # fallback instead of raising DegenerateMetric from the full check
+        eta = np.eye(2)
+        h = [expr.parse("500*u1+500*u2", 2),
+             expr.parse("500*u1+500.000000025*u2", 2)]
+        pts = sample_points(2, 4, seed=1)
+        g2, _, r = mokhov_bracket_metric(eta, h, pts)
+        V = g2.values(pts)
+        assert np.abs(np.linalg.det(V)).min() > 1e-10
+        assert degenerate(V)[0].all()
+        assert set(r.max_residuals) == {"gamma_linearity"}
+        assert r.passed  # h is linear: b = 0 and every member is constant
+
+    def test_degenerate_at_every_member_names_the_point(self):
+        # g2 = diag(-2, 2, -8 u3) is degenerate where u3 = 0; the members
+        # eta + g2/2 and eta - g2/2 are degenerate everywhere and
+        # 2 eta + g2/4 where u3 = 1, so no member is left at the second point
+        eta = np.eye(3)
+        h = [expr.parse("-u1", 3), expr.parse("u2", 3),
+             expr.parse("-2*u3^2", 3)]
+        pts = np.array([[0.5, 0.7, 0.0], [0.6, 0.9, 1.0]])
+        with pytest.raises(DegenerateMetric, match="all pencil samples") as e:
+            mokhov_bracket_metric(eta, h, pts)
+        assert np.array_equal(e.value.point, pts[1])
 
     def test_random_h_matches_direct_check(self):
         eta = np.eye(2)

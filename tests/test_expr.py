@@ -236,6 +236,50 @@ class TestDerivedFields:
         combo = 2 * a + a * a - a / 2 + 3
         assert combo(np.array([4.0])) == pytest.approx(8 + 16 - 2 + 3)
 
+    def test_reflected_operators_negation_and_powers(self):
+        x, y = expr.variable(0, 2), expr.variable(1, 2)
+        p = np.array([0.7, -1.3])
+        cases = {
+            "-(u1)": (-x, "-u1"),
+            "(u2)^3": (y ** 3, "u2^3"),
+            "(u1)^-2": (x ** -2, "u1^-2"),
+            "(1.5)+(u1)": (1.5 + x, "1.5+u1"),
+            "(2)-(u2)": (2 - y, "2-u2"),
+            "(3)/(u1)": (3 / x, "3/u1"),
+        }
+        for text, (field, reference) in cases.items():
+            assert field.source_text == text
+            jet = field.eval_jet(p, 2)
+            ref = expr.parse(reference, 2).eval_jet(p, 2)
+            for k in ("value", "grad", "hess"):
+                assert np.array_equal(getattr(jet, k), getattr(ref, k))
+        with pytest.raises(TypeError, match="integer powers"):
+            x ** 0.5
+        with pytest.raises(ArityError):
+            expr.variable(2, 2)
+
+    def test_function_wrappers(self):
+        x = expr.variable(0, 1)
+        p = np.array([0.8])
+        for name in ("ln", "sin", "cos"):
+            field = getattr(expr, name)(2 * x)
+            assert field.source_text == f"{name}((2)*(u1))"
+            jet = field.eval_jet(p, 3)
+            ref = expr.parse(f"{name}(2*u1)", 1).eval_jet(p, 3)
+            for k in ("value", "grad", "hess", "third"):
+                assert np.array_equal(getattr(jet, k), getattr(ref, k))
+
+    def test_embed_negation_and_calls(self):
+        g = expr.parse("-sin(u1)^2+cos(-u1)", 1)
+        lifted = expr.embed(g, 1, 3)
+        assert lifted.source_text == "-sin(u2)^2+cos(-u2)"
+        p = np.array([5.0, 0.6, 4.0])
+        jet = lifted.eval_jet(p, 2)
+        ref = expr.parse("-sin(u2)^2+cos(-u2)", 3).eval_jet(p, 2)
+        for k in ("value", "grad", "hess"):
+            assert np.array_equal(getattr(jet, k), getattr(ref, k))
+        assert jet.grad[0] == 0 and jet.grad[2] == 0
+
 
 class TestRandomFieldsAgainstFiniteDifferences:
     def _random_field(self, rng, dim):

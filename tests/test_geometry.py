@@ -5,7 +5,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from flatpencil import expr, geometry
+from flatpencil import expr
+from flatpencil.compat import dubrovin_construct_and_check, mokhov_bracket_metric
 from flatpencil.errors import ArityError, DegenerateMetric, DomainError
 from flatpencil.geometry import (
     CONTRAVARIANT,
@@ -13,6 +14,7 @@ from flatpencil.geometry import (
     GeometryJet,
     MetricField,
     affinor_at,
+    degenerate,
     geometry_jet,
     linear_combination,
     nijenhuis,
@@ -304,12 +306,36 @@ class TestBatchContract:
         assert exc.value.absdet == abs(np.linalg.det(g.values(pts[2])))
 
 
+class TestDegeneracyRule:
+    # det = 2.5e-11: degenerate, and so is every multiple of it
+    NEAR = np.array([[1.0, 1.0], [1.0, 1.0 + 2.5e-11]])
+
+    def test_relative_to_the_entries(self):
+        V = np.stack([self.NEAR, 1e3 * self.NEAR, np.eye(2), 1e3 * np.eye(2),
+                      1e-6 * np.eye(2)])
+        bad, absdet = degenerate(V)
+        # |det| tested against 1e-10 * max(1, max |V|)^n
+        assert bad.tolist() == [True, True, False, False, True]
+        assert np.array_equal(absdet, np.abs(np.linalg.det(V)))
+        assert absdet[1] > 1e-5  # an absolute 1e-10 would pass it
+        single, _ = degenerate(1e3 * self.NEAR)
+        assert single.shape == () and single
+
+    def test_eta_follows_the_same_rule(self):
+        h = [expr.parse("u1", 2), expr.parse("u2", 2)]
+        with pytest.raises(ValueError, match="nondegenerate"):
+            mokhov_bracket_metric(1e3 * self.NEAR, h, [[0.5, 0.7]])
+        with pytest.raises(ValueError, match="nondegenerate"):
+            dubrovin_construct_and_check(1e3 * self.NEAR, h, 0.0,
+                                         [[0.5, 0.7]])
+
+
 class TestLiteralEntries:
     """Entries whose expression is a bare literal skip evaluation."""
 
     @staticmethod
     def evaluated(g, point, order):
-        """_entry_jets as it was: every entry through eval_jet."""
+        """Entry jets as they were: every entry through eval_jet."""
         pt = np.asarray(point, dtype=complex)
         n, batch = g.dim, pt.shape[:-1]
         V = np.empty(batch + (n, n), dtype=complex)
@@ -332,7 +358,7 @@ class TestLiteralEntries:
         pts = np.random.default_rng(4).uniform(0.4, 1.2, batch + (3,))
         want = self.evaluated(g, pts, 2)
         calls = count_calls(expr.ScalarField, "eval_jet")
-        got = geometry._entry_jets(g, pts, 2)
+        got = g.entry_jets(pts, 2)
         # "-2.5" parses as the negation of a literal, so it is evaluated
         assert [f.source_text for f in calls] == [
             "u1^-2", "-2.5", "2*(u1*sin(u2))^-2"]
@@ -342,7 +368,7 @@ class TestLiteralEntries:
     def test_arity_and_nonfinite_literals_still_raise(self):
         eye = MetricField.from_constant(np.eye(2))
         with pytest.raises(ArityError):
-            geometry._entry_jets(eye, np.zeros(3), 2)
+            eye.entry_jets(np.zeros(3), 2)
         g = MetricField.diagonal([expr.parse("1e400", 2), expr.parse("1", 2)])
         with pytest.raises(DomainError):
-            geometry._entry_jets(g, np.zeros(2), 0)
+            g.entry_jets(np.zeros(2), 0)

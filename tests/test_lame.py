@@ -1,5 +1,7 @@
 """Rotation coefficients, orthogonal-system residuals, and the grid format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -381,6 +383,22 @@ class TestGridRoute:
         back, s_min, s_max = read_beta_grid(path)
         assert np.array_equal(back, beta)
         assert (s_min, s_max) == (-1.0, 2.5)
+
+    def test_bytes_follow_the_documented_layout(self, tmp_path):
+        # the header, then (re, im) float64 pairs in row-major order,
+        # written out by hand; signed zeros, infinities and NaN included
+        values = [1.5, -0.0, complex(np.nan, 2.0), complex(-0.0, -0.0),
+                  complex(3.0, np.inf), -2.25j, 1e-300, complex(7.0, -8.0)]
+        beta = np.array(values, dtype=complex).reshape(2, 2, 2)
+        path = tmp_path / "beta.bin"
+        write_beta_grid(path, beta, -1.0, 2.5)
+        want = struct.pack("<qqdd", 2, 2, -1.0, 2.5) + b"".join(
+            struct.pack("<dd", complex(v).real, complex(v).imag)
+            for v in values)
+        assert path.read_bytes() == want
+        back, _, _ = read_beta_grid(path)
+        assert back.tobytes() == beta.tobytes()
+        back[0, 0, 0] = 0  # a fresh, writable array
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "beta.bin"

@@ -54,21 +54,20 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             DressingProblem(1, phi, np.array([0.0]), 0.0, 1.0, 8)
 
-    def test_skew_check_evaluates_each_diagonal_once(self, count_calls,
-                                                     monkeypatch):
+    def test_skew_check_evaluates_each_diagonal_once(self, count_calls):
         # an empty verdict cache, whatever ran before
-        monkeypatch.setattr(zakharov, "_SKEW_CACHE", {})
+        zakharov._is_skew.cache_clear()
         calls = count_calls(expr.ScalarField, "eval_jet")
         p = criterion7_problem()
-        assert calls == [p.Phi[0, 0], p.Phi[1, 1]]
+        assert [(c.source_text, c.ast) for c in calls] == [
+            (p.Phi[i, i].source_text, p.Phi[i, i].ast) for i in range(2)]
         # fields parsed again from the same texts share the ASTs, whose
         # verdicts are kept
         criterion7_problem(u=(0.25, 0.45))
         assert len(calls) == 2
 
-    def test_non_skew_diagonal_raises_every_time(self, count_calls,
-                                                 monkeypatch):
-        monkeypatch.setattr(zakharov, "_SKEW_CACHE", {})
+    def test_non_skew_diagonal_raises_every_time(self, count_calls):
+        zakharov._is_skew.cache_clear()
         calls = count_calls(expr.ScalarField, "eval_jet")
         for _ in range(3):
             phi = {(0, 0): expr.parse("u1*u2", 2)}
@@ -170,6 +169,25 @@ class TestPhiPdes:
         res_off, res_diag = check_phi_pdes(p, samples)
         assert res_off < 1e-12
         assert res_diag == 0.0
+
+    def test_diagonal_residual_is_the_formula_written_out(self):
+        # skew Phi = xy(x - y) with f(t) = t^2 + 3, at x = s - u, y = s' - u:
+        # 2 Phi_xy (f(u - s) - f(u - s')) + Phi_x f'(u - s')
+        # - Phi_y f'(u - s)
+        phi = {(0, 0): expr.parse("u1^2*u2-u1*u2^2", 2)}
+        p = DressingProblem(1, phi, np.array([0.3]), 0.0, 1.0, 4,
+                            [expr.parse("u1^2+3", 1)])
+        samples = np.array([[0.2, 0.6], [0.8, 0.1], [0.5, 0.9]])
+        res_off, res_diag = check_phi_pdes(p, samples)
+        f, df = (lambda t: t * t + 3), (lambda t: 2 * t)
+        s, sp = samples.T
+        x, y = s - 0.3, sp - 0.3
+        want = (2 * (2 * x - 2 * y) * (f(0.3 - s) - f(0.3 - sp))
+                + (2 * x * y - y * y) * df(0.3 - sp)
+                - (x * x - 2 * x * y) * df(0.3 - s))
+        assert res_off == 0.0
+        assert res_diag == pytest.approx(np.max(np.abs(want)), rel=1e-12)
+        assert res_diag > 0.1
 
     def test_generic_potential_fails(self):
         phi = {(0, 1): expr.parse("u1^2*u2", 2)}
