@@ -50,6 +50,7 @@ from .lame import (
     LameData,
     RotationCoeffs,
     assemble_pair,
+    diagonal_pair,
     lame_residuals,
     read_beta_grid,
     reduction_residual,

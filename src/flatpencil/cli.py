@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .compat import (
+    DEFAULT_TOL,
     MetricPair,
     _Worst,
     check_compatible,
@@ -526,7 +527,7 @@ def main(argv=None):
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--parallel", action="store_true",
                        help="accepted for compatibility; has no effect")
-    run_p.add_argument("--tol", type=float, default=1e-8)
+    run_p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     run_p.set_defaults(func=_cmd_run)
 
     id_p = sub.add_parser("identities", help="random identity sweep")

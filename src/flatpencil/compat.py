@@ -362,8 +362,9 @@ def mokhov_bracket_metric(eta, h, points, tol=DEFAULT_TOL):
     Returns (g2 field, connection coefficients b^{ij}_k as a callable of the
     point, CheckResult).  When g2 is nondegenerate at all points, by the
     rule of `geometry.degenerate`, the verdict is full compatibility against
-    eta; otherwise only the connection-level linearity against b is checked
-    (the construction allows degenerate g2).
+    eta.  Otherwise, or when a sampled pencil member of that check is
+    degenerate, only the connection-level linearity against b is checked
+    (the construction allows degenerate g2 and members).
     """
     eta_up = _eta_up(eta)
     pts = np.atleast_2d(np.asarray(points))
@@ -377,7 +378,10 @@ def mokhov_bracket_metric(eta, h, points, tol=DEFAULT_TOL):
 
     if not degenerate(g2.values(pts))[0].any():
         pair = MetricPair(g1, g2, pts, tol=tol)
-        return g2, b_at, check_compatible(pair)
+        try:
+            return g2, b_at, check_compatible(pair)
+        except DegenerateMetric:
+            pass  # a sampled pencil member is degenerate: fall back
 
     # Connection-level check only: the pencil member lambda1*eta + lambda2*g2
     # must have Christoffel symbols -lambda2 * b (eta contributes none).

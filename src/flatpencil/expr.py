@@ -465,9 +465,7 @@ def _exp_derivs(v):
 
 def _ln_derivs(v):
     yield np.log(v)
-    yield 1.0 / v
-    yield -1.0 / v**2
-    yield 2.0 / v**3
+    yield from _reciprocal_derivs(v)
 
 
 def _sin_derivs(v):
@@ -719,38 +717,31 @@ class ScalarField:
             return other
         return constant(other, self.dim)
 
-    def __add__(self, other):
+    def _binop(self, op, other):
         o = self._coerce(other)
-        return ScalarField(
-            f"({self.source_text})+({o.source_text})", BinOp("+", self.ast, o.ast), self.dim
-        )
+        return ScalarField(f"({self.source_text}){op}({o.source_text})",
+                           BinOp(op, self.ast, o.ast), self.dim)
+
+    def __add__(self, other):
+        return self._binop("+", other)
 
     def __radd__(self, other):
         return self._coerce(other) + self
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return ScalarField(
-            f"({self.source_text})-({o.source_text})", BinOp("-", self.ast, o.ast), self.dim
-        )
+        return self._binop("-", other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return ScalarField(
-            f"({self.source_text})*({o.source_text})", BinOp("*", self.ast, o.ast), self.dim
-        )
+        return self._binop("*", other)
 
     def __rmul__(self, other):
         return self._coerce(other) * self
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return ScalarField(
-            f"({self.source_text})/({o.source_text})", BinOp("/", self.ast, o.ast), self.dim
-        )
+        return self._binop("/", other)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -800,19 +791,19 @@ def sqrt(f):
     return _wrap_call("sqrt", f)
 
 
-def _remap(node, mapping, new_dim):
+def _remap(node, mapping):
     if isinstance(node, Const):
         return node
     if isinstance(node, Var):
         return Var(mapping[node.index])
     if isinstance(node, Neg):
-        return Neg(_remap(node.arg, mapping, new_dim))
+        return Neg(_remap(node.arg, mapping))
     if isinstance(node, BinOp):
-        return BinOp(node.op, _remap(node.left, mapping, new_dim), _remap(node.right, mapping, new_dim))
+        return BinOp(node.op, _remap(node.left, mapping), _remap(node.right, mapping))
     if isinstance(node, Pow):
-        return Pow(_remap(node.base, mapping, new_dim), node.exponent)
+        return Pow(_remap(node.base, mapping), node.exponent)
     if isinstance(node, Call):
-        return Call(node.func, _remap(node.arg, mapping, new_dim))
+        return Call(node.func, _remap(node.arg, mapping))
     raise TypeError(node)
 
 
@@ -822,7 +813,7 @@ def embed(f, index, dim):
         raise ArityError("embed expects a single-variable field")
     if not 0 <= index < dim:
         raise ArityError(f"target index {index} out of range for dim {dim}")
-    ast = _remap(f.ast, {0: index}, dim)
+    ast = _remap(f.ast, {0: index})
     return ScalarField(f.source_text.replace("u1", f"u{index + 1}"), ast, dim)
 
 

@@ -154,13 +154,14 @@ def degenerate(V):
     """Which of the matrices V (..., n, n) are degenerate, and their |det|.
 
     The package's one degeneracy rule: |det V| < DEGENERACY_TOL *
-    max(1, max |V_ij|)^n, relative to the size of V's own entries, so that
-    a matrix and any multiple of it get the same answer.
+    (max |V_ij|)^n, relative to the size of V's own entries, so that a
+    matrix and any nonzero multiple of it get the same answer; the zero
+    matrix is degenerate.
     """
     n = V.shape[-1]
-    scale = np.maximum(1.0, np.abs(V).max(axis=(-2, -1)))
+    scale = np.abs(V).max(axis=(-2, -1))
     absdet = np.abs(np.linalg.det(V))
-    return absdet < DEGENERACY_TOL * scale**n, absdet
+    return (absdet < DEGENERACY_TOL * scale**n) | (scale == 0), absdet
 
 
 def _checked_inverse(V, point):

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .expr import ScalarField, constant, embed, sqrt
-from .geometry import CONTRAVARIANT, MetricField
+from .geometry import MetricField
 
 FD_STEP = 1e-3  # step of the finite-difference reference route only
 
@@ -183,18 +183,17 @@ def scaled_rotation(b, f):
         b.dim, lambda i, k: roots[i] * b.beta_fields[i][k] / roots[k])
 
 
+def diagonal_pair(w, f):
+    """Contravariant (g1, g2) = (diag(f^i(u^i) w_i), diag(w_i)) from N-variable
+    weights w_i and single-variable f^i, the paper's diagonal form."""
+    n = len(w)
+    g1 = [embed(fi, i, n) * wi for i, (fi, wi) in enumerate(zip(f, w))]
+    return MetricField.diagonal(g1), MetricField.diagonal(w)
+
+
 def assemble_pair(d):
     """Diagonal pair (g1, g2) with g2^i = 1/H_i^2, g1^i = f^i(u^i)/H_i^2."""
-    n = d.dim
-    g2_diag = []
-    g1_diag = []
-    for i in range(n):
-        gi = constant(1.0, n) / (d.H[i] * d.H[i])
-        g2_diag.append(gi)
-        g1_diag.append(embed(d.f[i], i, n) * gi)
-    g2 = MetricField.diagonal(g2_diag, CONTRAVARIANT)
-    g1 = MetricField.diagonal(g1_diag, CONTRAVARIANT)
-    return g1, g2
+    return diagonal_pair([constant(1.0, d.dim) / (h * h) for h in d.H], d.f)
 
 
 _HEADER = struct.Struct("<qqdd")

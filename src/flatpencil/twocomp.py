@@ -23,8 +23,9 @@ from .compat import (
     check_constant_curvature,
 )
 from .errors import DomainError
-from .expr import ScalarField, constant, embed, exp, parse
+from .expr import ScalarField, constant, exp, parse
 from .geometry import CONTRAVARIANT, MetricField, geometry_jet
+from .lame import diagonal_pair
 
 
 @dataclass
@@ -85,16 +86,12 @@ def check_lequa(m, points, tol=DEFAULT_TOL):
 
 def assemble_two_metrics(m):
     """(g1, g2) with g2 = diag(eps^i/(b^i)^2) and g1 carrying the f^i factors."""
-    inv1 = constant(float(m.eps1), 2) / (m.b1 * m.b1)
-    inv2 = constant(float(m.eps2), 2) / (m.b2 * m.b2)
-    g2 = MetricField.diagonal([inv1, inv2], CONTRAVARIANT)
-    g1 = MetricField.diagonal(
-        [embed(m.f1, 0, 2) * inv1, embed(m.f2, 1, 2) * inv2], CONTRAVARIANT
-    )
-    return g1, g2
+    return diagonal_pair([constant(float(e), 2) / (b * b)
+                          for e, b in ((m.eps1, m.b1), (m.eps2, m.b2))],
+                         [m.f1, m.f2])
 
 
-def constant_curvature_pencil(K, points, tol=1e-8):
+def constant_curvature_pencil(K, points, tol=DEFAULT_TOL):
     """Four metrics G_0..G_3 with G_n = diag(eps^i (u^i)^n / (b^i)^2).
 
     Sign convention eps^2 = +1, eps^1 = -1, (b^i)^2 = (u^1 - u^2) / (4K).
@@ -106,13 +103,8 @@ def constant_curvature_pencil(K, points, tol=1e-8):
     if np.any(np.abs(pts[:, 0] - pts[:, 1]) < 1e-12):
         raise DomainError("sample point on the singular line u1 = u2")
     b_sq_inv = parse(f"4*({K}) / (u1 - u2)", 2)
-    metrics = []
-    for n in range(4):
-        power = constant(1.0, 2) if n == 0 else parse(f"u1^{n}", 2)
-        power2 = constant(1.0, 2) if n == 0 else parse(f"u2^{n}", 2)
-        g11 = -1.0 * power * b_sq_inv
-        g22 = power2 * b_sq_inv
-        metrics.append(MetricField.diagonal([g11, g22], CONTRAVARIANT))
+    powers = [constant(1.0, 1)] + [parse(f"u1^{n}", 1) for n in (1, 2, 3)]
+    metrics = [diagonal_pair([b_sq_inv] * 2, [-1.0 * p, p])[0] for p in powers]
     w = _Worst()
     for n in range(3):
         w.update(f"flatness_G{n}",

@@ -127,12 +127,12 @@ def _tabulate(Phi, u, s, order):
         dF_ji/du^k = delta_ik Phi_yx + delta_jk Phi_yy  (transposed grid),
         dF_ii/du^k = -delta_ik (Phi_xx + Phi_xy).
 
-    Returns (F, dF): F is (N, N, m, m); dF is (N, N, N, m, m) indexed
-    [k, i, j, a, b] at order 2 and None at order 1.
+    Returns (F, dF): F is (N, N, m, m); dF is (N, N, m, N, m) indexed
+    [k, i, a, j, b], as _solve_row reads it, at order 2 and None at order 1.
     """
     n, m = len(u), len(s)
     F = np.zeros((n, n, m, m), dtype=complex)
-    dF = np.zeros((n, n, n, m, m), dtype=complex) if order == 2 else None
+    dF = np.zeros((n, n, m, n, m), dtype=complex) if order == 2 else None
     for (i, j), phi in Phi.items():
         pts = np.stack(np.broadcast_arrays(s[:, None] - u[i],
                                            s[None, :] - u[j]), axis=-1)
@@ -144,12 +144,12 @@ def _tabulate(Phi, u, s, order):
             continue
         h = jet.hess
         if i == j:
-            dF[i, i, i] = -(h[..., 0, 0] + h[..., 0, 1])
+            dF[i, i, :, i] = -(h[..., 0, 0] + h[..., 0, 1])
         else:
-            dF[i, i, j] = -h[..., 0, 0]
-            dF[j, i, j] = -h[..., 0, 1]
-            dF[i, j, i] = h[..., 1, 0].T
-            dF[j, j, i] = h[..., 1, 1].T
+            dF[i, i, :, j] = -h[..., 0, 0]
+            dF[j, i, :, j] = -h[..., 0, 1]
+            dF[i, j, :, i] = h[..., 1, 0].T
+            dF[j, j, :, i] = h[..., 1, 1].T
     return F, dF
 
 
@@ -159,9 +159,9 @@ def build_kernel(p):
     return KernelGrid(_tabulate(p.Phi, p.u, s, 1)[0], s, "raw")
 
 
-def _sqrt_f_at(p, i, shift):
+def _sqrt_f_at(p, i):
     """Principal sqrt of f^i(u^i - s_a) over the nodes (shape (m,))."""
-    args = (p.u[i] - p.nodes - shift)[:, None]
+    args = (p.u[i] - p.nodes)[:, None]
     vals = p.f[i].eval_jet(args, 0).value
     if np.any(np.abs(vals) < 1e-14):
         raise DomainError(f"eigenvalue function {i} vanishes on the grid")
@@ -172,7 +172,7 @@ def reduction_ratio(p):
     """ratio[i, j, a, b] = sqrt(f^j(u^j - s_b)) / sqrt(f^i(u^i - s_a))."""
     if p.f is None:
         raise ValueError("problem carries no eigenvalue functions")
-    roots = np.array([_sqrt_f_at(p, i, 0.0) for i in range(p.dim)])  # (N, m)
+    roots = np.array([_sqrt_f_at(p, i) for i in range(p.dim)])  # (N, m)
     return roots[None, :, None, :] / roots[:, None, :, None]
 
 
@@ -183,12 +183,12 @@ def reduce_kernel(k, p):
     return KernelGrid(k.values * reduction_ratio(p), k.nodes, "reduced")
 
 
-def check_reduction_relation(k, samples=None):
+def check_reduction_relation(k):
     """Max residual of dF_ij(s, s')/ds' + dF_ji(s', s)/ds.
 
     k is either a KernelGrid (second-order differences on the grid interior)
-    or a callable F(s, s') -> (N, N) matrix, checked at the given (s, s')
-    sample pairs with fourth-order differences of step 1e-4.
+    or a callable F(s, s') -> (N, N) matrix, checked at 16 seeded (s, s')
+    pairs in [-1, 1]^2 with fourth-order differences of step 1e-4.
     """
     if isinstance(k, KernelGrid):
         h = k.nodes[1] - k.nodes[0]
@@ -198,10 +198,7 @@ def check_reduction_relation(k, samples=None):
         interior = res[:, :, 1:-1, 1:-1]
         return float(np.max(np.abs(interior), initial=0.0))
 
-    if samples is None:
-        rng = np.random.default_rng(0)
-        samples = rng.uniform(-1.0, 1.0, size=(16, 2))
-
+    samples = np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 2))
     step = 1e-4
 
     def d4(fn, x):
@@ -211,7 +208,7 @@ def check_reduction_relation(k, samples=None):
     res = [
         np.max(np.abs(d4(lambda y: np.asarray(k(s, y)), sp)
                       + d4(lambda x: np.asarray(k(sp, x)).T, s)))
-        for s, sp in np.atleast_2d(np.asarray(samples))
+        for s, sp in samples
     ]
     return float(np.max(res, initial=0.0))
 
@@ -314,8 +311,8 @@ def _solve_row(F, nodes, a, dF=None, cond_limit=1e12):
     # K_il(qq) w_qq dF_klj(qq, b), the sum one matmul per k; the columns of
     # the system are one per (k, i)
     Kw = (K * w).reshape(n, n * q)  # [i, (l, qq)]
-    blk = dF[:, :, :, a:, a:].transpose(0, 1, 3, 2, 4).reshape(n, n * q, n * q)
-    drhs = dF[:, :, :, a, a:] + (Kw @ blk).reshape(n, n, n, q)
+    blk = dF[:, :, a:, :, a:].reshape(n, n * q, n * q)  # [k, (l, qq), (j, b)]
+    drhs = dF[:, :, a, :, a:] + (Kw @ blk).reshape(n, n, n, q)
     dK = (Ainv @ drhs.reshape(n * n, n * q).T).T.reshape(n, n, n, q)
     return K, dK, cond
 
@@ -358,7 +355,7 @@ def solve_integral_equation(k, rows=None, cond_limit=1e12):
     return SolutionGrid(K, nodes, list(rows), conds)
 
 
-def neumann_solution(k, a, terms=200, tol=1e-15):
+def neumann_solution(k, a):
     """Independent check value for row a: iterate K <- F + K*F to a fixpoint."""
     F = k.values
     n, _, m, _ = F.shape
@@ -366,9 +363,9 @@ def neumann_solution(k, a, terms=200, tol=1e-15):
     rhs = F[:, :, a, a:]  # (i, j, b)
     Fblk = F[:, :, a:, a:]  # (l, j, q, b)
     K = rhs.copy()
-    for _ in range(terms):
+    for _ in range(200):
         nxt = rhs + np.einsum("ilq,q,ljqb->ijb", K, w, Fblk)
-        if np.max(np.abs(nxt - K)) < tol:
+        if np.max(np.abs(nxt - K)) < 1e-15:
             return nxt
         K = nxt
     raise RuntimeError("fixpoint iteration did not converge")

@@ -132,6 +132,14 @@ class TestFlatPencil:
         # equal eigenvalues everywhere: singular pair
         assert not rep.nonsingular
 
+    def test_full_report_on_small_scale_constant_pair(self):
+        # both metrics are nondegenerate at any scale: no DegenerateMetric
+        g1 = MetricField.from_constant(np.diag([1e-6, 3e-6]))
+        g2 = MetricField.from_constant(2e-6 * np.eye(2))
+        rep = full_report(MetricPair(g1, g2, PTS))
+        assert rep.almost_compatible and rep.compatible
+        assert rep.flat_pencil and rep.nonsingular
+
 
 class TestSinglePass:
     def test_full_report_one_jet_per_metric_and_member(self, monkeypatch,
@@ -349,6 +357,14 @@ class TestBracketMetric:
         assert degenerate(V)[0].all()
         assert set(r.max_residuals) == {"gamma_linearity"}
         assert r.passed  # h is linear: b = 0 and every member is constant
+
+    def test_degenerate_sampled_member_falls_back(self):
+        # g2 = -eta is nondegenerate, but the sampled member eta + g2 is 0
+        h = [expr.parse("-u1/2", 2), expr.parse("-u2/2", 2)]
+        _, _, r = mokhov_bracket_metric(np.eye(2), h,
+                                        sample_points(2, 4, seed=1))
+        assert r.max_residuals == {"gamma_linearity": 0.0}
+        assert r.passed
 
     def test_degenerate_at_every_member_names_the_point(self):
         # g2 = diag(-2, 2, -8 u3) is degenerate where u3 = 0; the members

@@ -314,12 +314,21 @@ class TestDegeneracyRule:
         V = np.stack([self.NEAR, 1e3 * self.NEAR, np.eye(2), 1e3 * np.eye(2),
                       1e-6 * np.eye(2)])
         bad, absdet = degenerate(V)
-        # |det| tested against 1e-10 * max(1, max |V|)^n
-        assert bad.tolist() == [True, True, False, False, True]
+        # |det| tested against 1e-10 * (max |V|)^n
+        assert bad.tolist() == [True, True, False, False, False]
         assert np.array_equal(absdet, np.abs(np.linalg.det(V)))
         assert absdet[1] > 1e-5  # an absolute 1e-10 would pass it
         single, _ = degenerate(1e3 * self.NEAR)
         assert single.shape == () and single
+
+    @pytest.mark.parametrize("V", [NEAR, np.eye(2), np.diag([1.0, 3e-6]),
+                                   np.array([[2.0, 1.0], [1.0, -4.0]])])
+    def test_every_multiple_gets_the_same_answer(self, V):
+        bad, _ = degenerate(np.stack([c * V for c in (1e-6, 1.0, 1e6)]))
+        assert bad.tolist() == [bad[1]] * 3
+
+    def test_zero_matrix_is_degenerate(self):
+        assert degenerate(np.zeros((3, 3)))[0]
 
     def test_eta_follows_the_same_rule(self):
         h = [expr.parse("u1", 2), expr.parse("u2", 2)]

@@ -7,10 +7,12 @@ import pytest
 
 from flatpencil import expr, zakharov
 from flatpencil.compat import MetricPair, check_flat_pencil, sample_points
+from flatpencil.geometry import CONTRAVARIANT
 from flatpencil.lame import (
     LameData,
     RotationCoeffs,
     assemble_pair,
+    diagonal_pair,
     lame_residuals,
     read_beta_grid,
     reduction_residual,
@@ -348,6 +350,23 @@ class TestAssemblePair:
         g1, g2 = assemble_pair(d)
         p = [1.4, 0.6]
         assert g1.values(p) == pytest.approx(g2.values(p))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_diagonal_pair_of_signed_weights(self, n):
+        w = [expr.parse(t, n) for t in ("-(2+u1^2)", "1/(1+u2^2)", "-3")][:n]
+        f = [expr.parse(t, 1) for t in ("u1", "exp(u1)", "2*u1+1")][:n]
+        g1, g2 = diagonal_pair(w, f)
+        pts = PTS if n == 2 else PTS3
+        assert g1.variance == g2.variance == CONTRAVARIANT
+        assert all(g2.entries[i][i] is w[i] for i in range(n))
+        wv = np.stack([wi.eval_jet(pts, 0).value for wi in w], axis=-1)
+        fv = np.stack([fi.eval_jet(pts[:, i:i + 1], 0).value
+                       for i, fi in enumerate(f)], axis=-1)
+        assert (wv.real < 0).any() and (wv.real > 0).any()
+        assert np.allclose(g2.values(pts), wv[:, :, None] * np.eye(n),
+                           rtol=1e-15, atol=0)
+        assert np.allclose(g1.values(pts), (fv * wv)[:, :, None] * np.eye(n),
+                           rtol=1e-15, atol=0)
 
     def test_equivalence_on_polar_family(self):
         d = polar()

@@ -330,4 +330,6 @@ class TestDressingRotation:
             e[k] = h
             fd = (_tabulate(p.Phi, p.u + e, p.nodes, 1)[0]
                   - _tabulate(p.Phi, p.u - e, p.nodes, 1)[0]) / (2 * h)
-            assert np.max(np.abs(dF[k] - fd)) < 1e-6 * np.max(np.abs(dF[k]))
+            # dF[k] is [i, a, j, b]; fd is [i, j, a, b]
+            dk = dF[k].swapaxes(1, 2)
+            assert np.max(np.abs(dk - fd)) < 1e-6 * np.max(np.abs(dk))
