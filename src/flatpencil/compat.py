@@ -360,11 +360,10 @@ def mokhov_bracket_metric(eta, h, points, tol=DEFAULT_TOL):
     """Metric of the bracket ansatz g2^{ij} = eta^{is} d_s h^j + eta^{js} d_s h^i.
 
     Returns (g2 field, connection coefficients b^{ij}_k as a callable of the
-    point, CheckResult).  When g2 is nondegenerate at all points, by the
-    rule of `geometry.degenerate`, the verdict is full compatibility against
-    eta.  Otherwise, or when a sampled pencil member of that check is
-    degenerate, only the connection-level linearity against b is checked
-    (the construction allows degenerate g2 and members).
+    point, CheckResult).  The verdict is full compatibility against eta;
+    when that check raises `DegenerateMetric` (g2 or a sampled member is
+    degenerate by `geometry.degenerate`), only the connection-level linearity
+    against b is checked (the construction allows degenerate g2 and members).
     """
     eta_up = _eta_up(eta)
     pts = np.atleast_2d(np.asarray(points))
@@ -376,12 +375,10 @@ def mokhov_bracket_metric(eta, h, points, tol=DEFAULT_TOL):
         """b^{ij}_k at one point (n,) or a batch (..., n)."""
         return _bracket_hessians(eta_up, h, point)[1]
 
-    if not degenerate(g2.values(pts))[0].any():
-        pair = MetricPair(g1, g2, pts, tol=tol)
-        try:
-            return g2, b_at, check_compatible(pair)
-        except DegenerateMetric:
-            pass  # a sampled pencil member is degenerate: fall back
+    try:
+        return g2, b_at, check_compatible(MetricPair(g1, g2, pts, tol=tol))
+    except DegenerateMetric:
+        pass  # g2 or a sampled pencil member is degenerate: fall back
 
     # Connection-level check only: the pencil member lambda1*eta + lambda2*g2
     # must have Christoffel symbols -lambda2 * b (eta contributes none).

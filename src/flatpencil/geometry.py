@@ -153,15 +153,15 @@ class Affinor:
 def degenerate(V):
     """Which of the matrices V (..., n, n) are degenerate, and their |det|.
 
-    The package's one degeneracy rule: |det V| < DEGENERACY_TOL *
-    (max |V_ij|)^n, relative to the size of V's own entries, so that a
-    matrix and any nonzero multiple of it get the same answer; the zero
-    matrix is degenerate.
+    The package's one degeneracy rule: |det V| <= DEGENERACY_TOL *
+    (max |V_ij|)^n, relative to V's own entries, so a nonzero multiple of V
+    gets V's answer while det V and (max |V_ij|)^n are normal floats; a
+    matrix whose computed det is 0 (the zero matrix too) is degenerate.
     """
     n = V.shape[-1]
     scale = np.abs(V).max(axis=(-2, -1))
     absdet = np.abs(np.linalg.det(V))
-    return (absdet < DEGENERACY_TOL * scale**n) | (scale == 0), absdet
+    return absdet <= DEGENERACY_TOL * scale**n, absdet
 
 
 def _checked_inverse(V, point):

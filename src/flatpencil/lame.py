@@ -183,12 +183,15 @@ def scaled_rotation(b, f):
         b.dim, lambda i, k: roots[i] * b.beta_fields[i][k] / roots[k])
 
 
+def weighted_diagonal(w, f):
+    """Contravariant diag(f^i(u^i) w_i) from N-variable weights w_i."""
+    return MetricField.diagonal([embed(fi, i, len(w)) * wi
+                                 for i, (fi, wi) in enumerate(zip(f, w))])
+
+
 def diagonal_pair(w, f):
-    """Contravariant (g1, g2) = (diag(f^i(u^i) w_i), diag(w_i)) from N-variable
-    weights w_i and single-variable f^i, the paper's diagonal form."""
-    n = len(w)
-    g1 = [embed(fi, i, n) * wi for i, (fi, wi) in enumerate(zip(f, w))]
-    return MetricField.diagonal(g1), MetricField.diagonal(w)
+    """Contravariant (diag(f^i(u^i) w_i), diag(w_i)), the diagonal form."""
+    return weighted_diagonal(w, f), MetricField.diagonal(w)
 
 
 def assemble_pair(d):

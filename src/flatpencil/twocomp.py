@@ -25,7 +25,7 @@ from .compat import (
 from .errors import DomainError
 from .expr import ScalarField, constant, exp, parse
 from .geometry import CONTRAVARIANT, MetricField, geometry_jet
-from .lame import diagonal_pair
+from .lame import diagonal_pair, weighted_diagonal
 
 
 @dataclass
@@ -104,7 +104,8 @@ def constant_curvature_pencil(K, points, tol=DEFAULT_TOL):
         raise DomainError("sample point on the singular line u1 = u2")
     b_sq_inv = parse(f"4*({K}) / (u1 - u2)", 2)
     powers = [constant(1.0, 1)] + [parse(f"u1^{n}", 1) for n in (1, 2, 3)]
-    metrics = [diagonal_pair([b_sq_inv] * 2, [-1.0 * p, p])[0] for p in powers]
+    metrics = [weighted_diagonal([b_sq_inv] * 2, [-1.0 * p, p])
+               for p in powers]
     w = _Worst()
     for n in range(3):
         w.update(f"flatness_G{n}",

@@ -330,6 +330,19 @@ class TestDegeneracyRule:
     def test_zero_matrix_is_degenerate(self):
         assert degenerate(np.zeros((3, 3)))[0]
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_singular_is_degenerate_at_any_scale(self, n):
+        # at 1e-160 (n = 2) and 1e-105 (n = 3) the threshold underflows to 0,
+        # at 1e160 it overflows; det is 0 at every scale
+        cs = (1e-160, 1e-105, 1e-6, 1.0, 1e6, 1e160)
+        with np.errstate(over="ignore"):
+            bad, absdet = degenerate(np.stack([c * np.ones((n, n))
+                                               for c in cs]))
+        assert bad.all() and not absdet.any()
+        g = MetricField.from_constant(1e-160 * np.ones((n, n)), CONTRAVARIANT)
+        with pytest.raises(DegenerateMetric):
+            geometry_jet(g, np.full(n, 0.5))
+
     def test_eta_follows_the_same_rule(self):
         h = [expr.parse("u1", 2), expr.parse("u2", 2)]
         with pytest.raises(ValueError, match="nondegenerate"):
