@@ -1,18 +1,29 @@
-"""Closed-form coordinate expressions with exact complex jets to third order.
+"""Closed-form coordinate expressions with exact jets to third order.
 
 Expressions are parsed into a small AST over the variables u1..uN, complex
 literals and the functions exp, ln, sin, cos, sqrt.  Evaluation propagates
 truncated Taylor data (value, gradient, Hessian, third-order tensor, each
 stored only up to the requested order) through the tree, so every partial
 derivative up to the requested order is analytic, not finite-differenced.
-All arithmetic is complex; principal branches are used for ln and sqrt.
 
-A constant subtree evaluates to a complex scalar, not to batch-sized arrays
-of zero derivatives: ``jet + c`` touches only the value and ``c * jet``
-scales each slot.  Only a field that is constant as a whole becomes a
-constant jet.  The AST is immutable and may share subtrees (one node per
-variable, and ``partial()`` reuses the subtrees it differentiates); within
-one evaluation a shared subtree is evaluated once.
+A field is real-closed when its AST has no sqrt or ln node and no literal
+with a nonzero imaginary part.  A real-closed field at real points is
+evaluated in float64 from its variables to its slots; every other
+evaluation is complex128 throughout, with the principal branches of ln and
+sqrt.  The choice is made once per evaluation, never per operation, so no
+value is promoted from real to complex inside a tree: at a real u1,
+sqrt(-u1) is -1j because -(u1+0j) carries a -0 imaginary part.  Integer
+powers in float64 use the products of numpy's complex integer power, so a
+real-closed field gets the real parts of its complex evaluation bit for
+bit, apart from exp, sin and cos, whose real and complex routines may
+round differently.
+
+A constant subtree evaluates to a 0-d array of the evaluation's dtype, not
+to batch-sized arrays of zero derivatives: ``jet + c`` touches only the
+value and ``c * jet`` scales each slot.  Only a field that is constant as a
+whole becomes a constant jet.  The AST is immutable and may share subtrees
+(one node per variable, and ``partial()`` reuses the subtrees it
+differentiates); within one evaluation a shared subtree is evaluated once.
 
 Inside an evaluation the derivative slots are derivative-major and packed
 (Taylor-mode propagation with the derivative index leading; Griewank and
@@ -42,6 +53,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -285,9 +297,9 @@ def _scaled(c, t):
         return c * t
 
 
-def _zero_slots(n, order, batch_shape):
+def _zero_slots(n, order, batch_shape, dtype):
     """Zero grad, hess, ... up to ``order``, packed and derivative-major."""
-    return [np.zeros((math.comb(n + k - 1, k),) + batch_shape, dtype=complex)
+    return [np.zeros((math.comb(n + k - 1, k),) + batch_shape, dtype=dtype)
             for k in range(1, order + 1)]
 
 
@@ -304,9 +316,10 @@ def _varying(x):
         # one pair of entries settles most batches before all are read
         if size > 1 and x.item(0) == x.item((size - 1) * step):
             head = (slice(None),) * axis + (slice(0, 1),)
-            re, im = x.real.view(np.int64), x.imag.view(np.int64)
+            parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+            bits = [p.view(np.int64) for p in parts]
             # equal bits everywhere: only the head can hold a NaN
-            if ((re == re[head]).all() and (im == im[head]).all()
+            if (all((b == b[head]).all() for b in bits)
                     and not np.isnan(x[head]).any()):
                 x = x[head]
     return x
@@ -326,7 +339,8 @@ class Jet:
     the ones above it are None, so no batch-sized array is allocated or
     added above the requested order.
 
-    The other operand of +, - and * may be a constant (a numpy complex):
+    The other operand of +, - and * may be a constant (a 0-d array or numpy
+    scalar of the evaluation's dtype):
     ``jet ± c`` changes only the value and shares the derivative arrays,
     ``c * jet`` scales each slot.  Nothing writes into a slot after the jet
     that holds it is built, so shared slots, and slots that broadcast, are
@@ -363,9 +377,9 @@ class Jet:
         """
         n = point.shape[-1]
         x = point[..., i]
-        value = _varying(x).astype(complex)
+        value = _varying(x).astype(point.dtype)
         shape = x.shape if value.shape == x.shape else (1,) * x.ndim
-        j = Jet(n, order, value, *_zero_slots(n, order, shape))
+        j = Jet(n, order, value, *_zero_slots(n, order, shape, point.dtype))
         if order >= 1:
             j.grad[i] = 1.0
         return j
@@ -451,12 +465,34 @@ def _reciprocal_derivs(v):
     yield -6.0 / v**4
 
 
-def _power_derivs(v, e):
-    yield v ** complex(e)
+def _complex_power(v, e):
+    return v ** complex(e)
+
+
+def _int_power(v, e):
+    """v**e for an integer e by the products of numpy's complex integer
+    power: binary powering of |e|, then 1/x for e < 0.  A real v thus gets
+    the real part of (v+0j)**e bit for bit, which v**float(e) does not."""
+    n = abs(e)
+    if n == 0:
+        return np.ones_like(v)
+    acc, p, mask = None, v, 1
+    while True:
+        if n & mask:
+            acc = p if acc is None else acc * p
+        mask <<= 1
+        if n < mask:
+            break
+        p = p * p
+    return 1.0 / acc if e < 0 else acc
+
+
+def _power_derivs(v, e, power=_complex_power):
+    yield power(v, e)
     coeff = 1.0
     for k in range(1, MAX_ORDER + 1):
         coeff *= e - (k - 1)
-        yield np.zeros_like(v) if coeff == 0 else coeff * v ** complex(e - k)
+        yield np.zeros_like(v) if coeff == 0 else coeff * power(v, e - k)
 
 
 def _exp_derivs(v):
@@ -503,6 +539,22 @@ _CALL_DERIVS = {
 }
 
 
+# The arithmetic of one evaluation, chosen once by ScalarField._arith:
+# dtype of every slot, a literal (a Python complex) as a Python number of
+# that dtype, a single point's value as a Python number, and the
+# derivatives of v**e and 1/v.  1/v in float64 is the power -1, whose
+# products and quotients are those that the complex 1/v, -1/v^2, 2/v^3,
+# -6/v^4 make of a real v.
+_Arith = collections.namedtuple(
+    "_Arith", "dtype literal scalar power_derivs reciprocal_derivs")
+
+_COMPLEX = _Arith(np.dtype(complex), complex, complex, _power_derivs,
+                  _reciprocal_derivs)
+_REAL = _Arith(np.dtype(float), operator.attrgetter("real"), float,
+               functools.partial(_power_derivs, power=_int_power),
+               functools.partial(_power_derivs, e=-1, power=_int_power))
+
+
 def _apply(a, derivs):
     """phi(a) from phi, phi', ...: a jet by the chain rule, or a constant."""
     return a.compose(derivs) if isinstance(a, Jet) else next(derivs)
@@ -512,20 +564,20 @@ def _value(a):
     return a.value if isinstance(a, Jet) else a
 
 
-def _reciprocal(a):
+def _reciprocal(a, arith):
     v = _value(a)
     if np.any(v == 0):
         raise DomainError("division by zero")
-    return _apply(a, _reciprocal_derivs(v))
+    return _apply(a, arith.reciprocal_derivs(v))
 
 
-def _power(a, e):
+def _power(a, e, arith):
     if e == 0:
-        return np.array(1 + 0j)
+        return np.array(arith.literal(1 + 0j))
     v = _value(a)
     if e < 0 and np.any(v == 0):
         raise DomainError("zero raised to a negative power")
-    return _apply(a, _power_derivs(v, e))
+    return _apply(a, arith.power_derivs(v, e))
 
 
 def _call(func, a, order):
@@ -549,10 +601,16 @@ def _children(node):
     return ()
 
 
-def _shared_nodes(root):
-    """{id(node): number of uses} for the nodes that the AST uses more than
-    once (it is a DAG: parse shares variables, partial() shares subtrees)."""
+def _structure(root):
+    """(shared, real) of an AST, from one walk over it.
+
+    shared is {id(node): number of uses} for the nodes that the AST uses
+    more than once (it is a DAG: parse shares variables, partial() shares
+    subtrees); real tells whether it is real-closed: no sqrt or ln node and
+    no literal with a nonzero imaginary part.
+    """
     uses = {}
+    real = True
     stack = [root]
     while stack:
         node = stack.pop()
@@ -560,11 +618,16 @@ def _shared_nodes(root):
         uses[key] = uses.get(key, 0) + 1
         if uses[key] == 1:
             stack.extend(_children(node))
-    return {key: n for key, n in uses.items() if n > 1}
+            if isinstance(node, Call):
+                real = real and node.func not in ("sqrt", "ln")
+            elif isinstance(node, Const):
+                real = real and node.value.imag == 0
+    return {key: n for key, n in uses.items() if n > 1}, real
 
 
-def _eval_node(node, point, order, memo):
-    """Jet of `node` at `point`, or a numpy complex if the subtree is constant.
+def _eval_node(node, point, order, memo, arith):
+    """Jet of `node` at `point`, or a 0-d array or numpy scalar of
+    ``arith.dtype`` if the subtree is constant.
 
     ``memo`` maps the id of each shared node to [uses left, result], so a
     shared subtree is evaluated once per evaluation and released at its
@@ -581,8 +644,8 @@ def _eval_node(node, point, order, memo):
             entry[1] = None
         return out
     if isinstance(node, BinOp):
-        a = _eval_node(node.left, point, order, memo)
-        b = _eval_node(node.right, point, order, memo)
+        a = _eval_node(node.left, point, order, memo, arith)
+        b = _eval_node(node.right, point, order, memo, arith)
         if node.op == "+":
             out = a + b
         elif node.op == "-":
@@ -590,17 +653,19 @@ def _eval_node(node, point, order, memo):
         elif node.op == "*":
             out = a * b
         else:
-            out = a * _reciprocal(b)
+            out = a * _reciprocal(b, arith)
     elif isinstance(node, Const):
-        out = np.array(complex(node.value))
+        out = np.array(arith.literal(node.value))
     elif isinstance(node, Var):
         out = Jet.variable(node.index, point, order)
     elif isinstance(node, Neg):
-        out = -_eval_node(node.arg, point, order, memo)
+        out = -_eval_node(node.arg, point, order, memo, arith)
     elif isinstance(node, Pow):
-        out = _power(_eval_node(node.base, point, order, memo), node.exponent)
+        out = _power(_eval_node(node.base, point, order, memo, arith),
+                     node.exponent, arith)
     elif isinstance(node, Call):
-        out = _call(node.func, _eval_node(node.arg, point, order, memo), order)
+        out = _call(node.func, _eval_node(node.arg, point, order, memo, arith),
+                    order)
     else:
         raise TypeError(f"unexpected node {node!r}")
     if point.ndim > 1 and not isinstance(out, Jet):
@@ -621,13 +686,13 @@ def _finite(slot):
     return cmath.isfinite(np.vdot(slot, slot)) or np.isfinite(slot).all()
 
 
-def _batch_first(jet, n, order, batch):
+def _batch_first(jet, n, order, batch, dtype):
     """The jet that ``eval_jet`` returns: each slot a fresh array of its full
-    shape B+(n,)*k, batch first, whatever batch axes it varied along.  A
-    constant (a numpy complex) gets zero derivatives."""
+    shape B+(n,)*k and of the given dtype, batch first, whatever batch axes
+    it varied along.  A constant gets zero derivatives."""
     if not isinstance(jet, Jet):
-        return Jet(n, order, np.full(batch, jet, dtype=complex),
-                   *[np.zeros(batch + (n,) * k, dtype=complex)
+        return Jet(n, order, np.full(batch, jet, dtype=dtype),
+                   *[np.zeros(batch + (n,) * k, dtype=dtype)
                      for k in range(1, order + 1)])
     names = ("grad", "hess", "third")[:order]
     if not batch:  # a single point: the gradient is (n,) already
@@ -643,7 +708,7 @@ def _batch_first(jet, n, order, batch):
             jet.value = np.broadcast_to(jet.value, batch).copy()
         for k, name in enumerate(names, 1):
             s = getattr(jet, name)
-            full = np.empty(batch + (n**k,), dtype=complex)
+            full = np.empty(batch + (n**k,), dtype=dtype)
             for j, p in enumerate(_unpack(n, k).flat):
                 full[..., j] = s[p]
             setattr(jet, name, full.reshape(batch + (n,) * k))
@@ -657,7 +722,7 @@ def _batch_first(jet, n, order, batch):
 class ScalarField:
     """Immutable coordinate expression u1..uN -> C, differentiable to order 3."""
 
-    __slots__ = ("source_text", "ast", "dim", "_shared")
+    __slots__ = ("source_text", "ast", "dim", "_shared", "_real")
 
     def __init__(self, source_text, ast, dim):
         if dim < 1:
@@ -665,7 +730,10 @@ class ScalarField:
         object.__setattr__(self, "source_text", source_text)
         object.__setattr__(self, "ast", ast)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_shared", None)  # _shared_nodes, on demand
+        # _structure(ast), on demand: fields built only to build others
+        # never pay for it
+        object.__setattr__(self, "_shared", None)
+        object.__setattr__(self, "_real", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarField is immutable")
@@ -673,28 +741,53 @@ class ScalarField:
     def __repr__(self):
         return f"ScalarField({self.source_text!r}, dim={self.dim})"
 
+    def _analyse(self):
+        if self._shared is None:
+            shared, real = _structure(self.ast)
+            object.__setattr__(self, "_shared", shared)
+            object.__setattr__(self, "_real", real)
+
+    @property
+    def real_closed(self):
+        """Whether the AST has no sqrt or ln node and no literal with a
+        nonzero imaginary part: then the field is real at real points, and
+        eval_jet computes it there in float64."""
+        self._analyse()
+        return self._real
+
+    def _arith(self, point):
+        """(arithmetic, point as an array of its dtype) of an evaluation:
+        float64 for a real-closed field at a real point, else complex128."""
+        pt = np.asarray(point)
+        if self._shared is None:
+            self._analyse()
+        arith = _REAL if self._real and pt.dtype.kind in "biuf" else _COMPLEX
+        return arith, pt.astype(arith.dtype, copy=False)
+
     def eval_jet(self, point, order=3):
-        """Jet of the field at `point` (length-dim vector or batch thereof)."""
+        """Jet of the field at `point` (length-dim vector or batch thereof).
+
+        The slots are float64 for a real-closed field at a real point (a
+        single point's value a Python float), else complex128 (a Python
+        complex)."""
         if not 0 <= order <= MAX_ORDER:
             raise ValueError("order must be in 0..3")
-        pt = np.asarray(point, dtype=complex)
+        arith, pt = self._arith(point)
         if pt.shape[-1] != self.dim:
             raise ArityError(
                 f"point has {pt.shape[-1]} components, field has dim {self.dim}"
             )
-        if self._shared is None:
-            object.__setattr__(self, "_shared", _shared_nodes(self.ast))
         memo = {key: [n, None] for key, n in self._shared.items()}
-        jet = _eval_node(self.ast, pt, order, memo)
+        jet = _eval_node(self.ast, pt, order, memo, arith)
         # a constant field's derivatives are zeros: only its value can fail
         slots = jet.slots() if isinstance(jet, Jet) else (jet,)
         for k, slot in enumerate(slots):
             if not _finite(slot):
                 what = "value" if k == 0 else f"order-{k} derivative"
                 raise DomainError(f"non-finite {what} of {self.source_text!r}")
-        jet = _batch_first(jet, self.dim, order, pt.shape[:-1])
+        jet = _batch_first(jet, self.dim, order, pt.shape[:-1], arith.dtype)
         if pt.ndim == 1:
-            jet.value = complex(jet.value)
+            jet.value = arith.scalar(jet.value)
         return jet
 
     def __call__(self, point):
@@ -967,22 +1060,19 @@ class _Parser:
 
 @functools.lru_cache(maxsize=512)
 def _parsed(text, dim):
-    """The AST of (text, dim) and its _shared_nodes map.  The AST is
-    immutable, so the fields parsed from one (text, dim) share both."""
-    ast = _Parser(text, dim).parse()
-    return ast, _shared_nodes(ast)
+    field = ScalarField(text, _Parser(text, dim).parse(), dim)
+    field._analyse()  # once for every caller that shares the field
+    return field
 
 
 def parse(text, dim):
     """Parse an expression into a ScalarField of the given dimension.
 
-    Every call returns a new ScalarField; repeated texts share their AST.
+    The field is immutable, so repeated calls with one (text, dim) return
+    the same ScalarField, with its AST and its real-closed verdict.
     """
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression", 0)
     if dim < 1:
         raise ValueError("dimension must be positive")
-    ast, shared = _parsed(text, dim)
-    field = ScalarField(text, ast, dim)
-    object.__setattr__(field, "_shared", shared)
-    return field
+    return _parsed(text, dim)

@@ -20,12 +20,15 @@ exactly from the Hessians of the potentials.  Rotation
 coefficients as functions of u (dressing_rotation) therefore get exact
 u-derivatives by differentiating the discrete equation with the same row
 inverse: one kernel tabulation and one inverse per point, no finite
-differences.  reduce_kernel is the entrywise sqrt-ratio scaling
-F_ij sqrt(f^j)/sqrt(f^i), whose solution is the raw one scaled the same way
-(acceptance criterion 8).  It does not by itself give the nonlinear
-reduction: for Phi_01 = 0.05/sqrt((x+1)(y+1)), f(x) = x + 3, u = (0.3, 0.4)
-and 64 nodes, the reduction residual is 1.8e-3 from the scaled kernel and
-8.3e-7 from the raw one.  The PDE residuals of the potentials are here too.
+differences.  Potentials that are all real-closed (see expr) give a real
+kernel, whose Nystrom matrices are then built and inverted in float64; a
+complex potential makes the kernel and the solve complex.  reduce_kernel
+is the entrywise sqrt-ratio scaling F_ij sqrt(f^j)/sqrt(f^i), whose
+solution is the raw one scaled the same way (acceptance criterion 8).  It
+does not by itself give the nonlinear reduction: for Phi_01 =
+0.05/sqrt((x+1)(y+1)), f(x) = x + 3, u = (0.3, 0.4) and 64 nodes, the
+reduction residual is 1.8e-3 from the scaled kernel and 8.3e-7 from the
+raw one.  The PDE residuals of the potentials are here too.
 """
 
 from __future__ import annotations
@@ -85,18 +88,17 @@ class DressingProblem:
 
 
 def _check_skew(phi):
-    if not _is_skew(phi.ast, phi.source_text):
+    if not _is_skew(phi):
         raise ValueError("diagonal potential is not skew-symmetric")
 
 
 @functools.lru_cache(maxsize=512)
-def _is_skew(ast, text):
-    """Whether the two-variable potential `text`, parsed to `ast`, is skew,
-    phi(x, y) = -phi(y, x), at 16 seeded points.  Kept per value, so the
-    fields that parse() makes from one text share one verdict."""
+def _is_skew(phi):
+    """Whether the two-variable potential phi is skew, phi(x, y) =
+    -phi(y, x), at 16 seeded points.  Kept per field, which parse() returns
+    the same for one text."""
     rng = np.random.default_rng(12345)
     xy = rng.uniform(-1.0, 1.0, size=(16, 2))
-    phi = ScalarField(text, ast, 2)
     fwd, bwd = phi.eval_jet(np.stack([xy, xy[:, ::-1]]), 0).value
     return not np.max(np.abs(fwd + bwd)) > 1e-12
 
@@ -129,10 +131,13 @@ def _tabulate(Phi, u, s, order):
 
     Returns (F, dF): F is (N, N, m, m); dF is (N, N, m, N, m) indexed
     [k, i, a, j, b], as _solve_row reads it, at order 2 and None at order 1.
+    Both are float64 if every potential is real-closed, as its jets at the
+    real shifts then are, and complex128 otherwise.
     """
     n, m = len(u), len(s)
-    F = np.zeros((n, n, m, m), dtype=complex)
-    dF = np.zeros((n, n, m, n, m), dtype=complex) if order == 2 else None
+    dtype = float if all(phi.real_closed for phi in Phi.values()) else complex
+    F = np.zeros((n, n, m, m), dtype=dtype)
+    dF = np.zeros((n, n, m, n, m), dtype=dtype) if order == 2 else None
     for (i, j), phi in Phi.items():
         pts = np.stack(np.broadcast_arrays(s[:, None] - u[i],
                                            s[None, :] - u[j]), axis=-1)
@@ -270,13 +275,13 @@ def _row_operator(F, nodes, a):
     """Nystrom matrix A and trapezoid weights w of row node s_a.
 
     A[(j,b),(l,qq)] = delta_jl delta_bqq - w_qq F_lj(s_qq, s_b) over the
-    nodes qq, b >= a; the same matrix serves every i.
+    nodes qq, b >= a; the same matrix serves every i.  A is of F's dtype.
     """
     n, _, m, _ = F.shape
     q = m - a  # nodes in [s_a, s_max]
     w = _row_weights(nodes, a)
     Fblk = F[:, :, a:, a:]  # (l, j, qq, b)
-    A = np.eye(n * q, dtype=complex)
+    A = np.eye(n * q, dtype=F.dtype)
     A -= np.transpose(w[None, None, :, None] * Fblk,
                       (1, 3, 0, 2)).reshape(n * q, n * q)
     return A, w
@@ -341,7 +346,7 @@ def solve_integral_equation(k, rows=None, cond_limit=1e12):
         if isinstance(a, bool) or not isinstance(a, (int, np.integer)) \
                 or not 0 <= a < m:
             raise ValueError(f"row {a!r} is not a node index in 0..{m - 1}")
-    K = np.full((n, n, m, m), np.nan, dtype=complex)
+    K = np.full((n, n, m, m), np.nan, dtype=F.dtype)
     conds = {}
     for a in rows:
         Krow, _, conds[a] = _solve_row(F, nodes, a, cond_limit=cond_limit)
@@ -374,7 +379,7 @@ def neumann_solution(k, a):
 def extract_beta(sol):
     """beta_ij(s_a) = K_ji(s_a, s_a) for the solved rows; shape (N, N, m)."""
     n, _, m, _ = sol.values.shape
-    beta = np.full((n, n, m), np.nan, dtype=complex)
+    beta = np.full((n, n, m), np.nan, dtype=sol.values.dtype)
     for a in sol.rows:
         beta[:, :, a] = sol.values[:, :, a, a].T
     return beta

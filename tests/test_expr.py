@@ -73,9 +73,10 @@ class TestParsing:
         assert "u1" in f.source_text
 
     def test_repeated_text_shares_ast_not_field(self):
+        # the field is immutable: parse returns the one it cached
         a = expr.parse("exp(u1*u2) + u2", 2)
         b = expr.parse("exp(u1*u2) + u2", 2)
-        assert a is not b
+        assert a is b
         assert a.ast is b.ast
         assert expr.parse("exp(u1*u2) + u2", 3).ast is not a.ast
 
@@ -164,6 +165,88 @@ class TestJets:
         assert jet.third[0, 0, 0] == pytest.approx(6.0)
 
 
+class TestRealClosed:
+    """A real-closed field (no sqrt, no ln, no literal with a nonzero
+    imaginary part) at real points is evaluated in float64; every other
+    evaluation stays complex128."""
+
+    REAL = "exp(-2*(u1+0.2)^2)*u2^-2 + sin(u1*u2)^3/(1+u2^2) - cos(u2)^-1"
+
+    @pytest.mark.parametrize("text,real", [
+        (REAL, True), ("u1 - 3", True), ("(2+0i)*u1", True),
+        ("2i*u1 + u2", False), ("sqrt(u1 + u2)", False),
+        ("ln(u1*u2)", False), ("u1 + exp(i)", False)])
+    def test_verdict(self, text, real):
+        f = expr.parse(text, 2)
+        assert f.real_closed is real
+        if real:  # a derivative of a real-closed field is real-closed
+            assert f.partial(0).real_closed
+        assert (f * 2j).real_closed is False
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("batch", [(), (6,), (5, 4)])
+    def test_float64_slots_at_real_points(self, order, batch):
+        f = expr.parse(self.REAL, 2)
+        rng = np.random.default_rng(order)
+        if len(batch) > 1:
+            pts = grid_points(rng, batch, [(0,), (1,)])
+        else:
+            pts = rng.uniform(0.3, 1.2, size=batch + (2,))
+        jet = f.eval_jet(pts, order)
+        ref = f.eval_jet(pts.astype(complex), order)
+        if not batch:
+            assert type(jet.value) is float and type(ref.value) is complex
+        for k, (got, want) in enumerate(zip(jet.slots(), ref.slots())):
+            got, want = np.asarray(got), np.asarray(want)
+            if batch or k:
+                assert got.dtype == np.float64 and want.dtype == np.complex128
+            assert got.shape == want.shape
+            # the complex and real exp may differ in the last bit
+            assert np.allclose(got, want.real, rtol=1e-14, atol=0)
+            assert not np.any(want.imag)
+
+    @pytest.mark.parametrize("text", [
+        "2i*u1 + u2", "sqrt(u1 + u2)", "ln(u1*u2)", "u1^2*exp(u2)"])
+    @pytest.mark.parametrize("batch", [(), (6,)])
+    def test_complex_evaluations_unchanged(self, text, batch):
+        # a real point of a field that is not real-closed gives the bits
+        # of the complex point it was converted to before; a complex point
+        # always evaluates in complex128
+        f = expr.parse(text, 2)
+        pts = np.random.default_rng(9).uniform(0.3, 1.2, size=batch + (2,))
+        z = pts.astype(complex)
+        want = f.eval_jet(z, 3)
+        assert all(np.asarray(s).dtype == np.complex128 for s in want.slots())
+        ref = parent_eval_jet(f, z, 3)
+        for k in range(2):  # value and gradient: bit for bit
+            assert hex_list(want.slots()[k]) == hex_list(ref.slots()[k])
+        if not f.real_closed:
+            got = f.eval_jet(pts, 3)
+            for a, b in zip(got.slots(), want.slots()):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("text,want", [
+        ("sqrt(-u1)", -1j), ("sqrt(0-u1)", 1j),
+        ("ln(-u1)", complex(0.0, -np.pi))])
+    def test_branch_cuts(self, text, want):
+        # -(u1+0j) has a -0 imaginary part, 0-(u1+0j) a +0 one
+        f = expr.parse(text, 1)
+        assert f.eval_jet([1.0], 0).value == want
+        assert f.eval_jet(np.ones((3, 1)), 0).value.tolist() == [want] * 3
+
+    def test_int_power_is_complex_power_real_part(self):
+        x = np.random.default_rng(0).uniform(-3, 3, 100000)
+        for e in range(-4, 6):
+            want = (x + 0j) ** complex(e)
+            assert np.array_equal(expr._int_power(x, e), want.real)
+
+    def test_real_reciprocal_is_complex_real_part(self):
+        x = np.random.default_rng(1).uniform(-3, 3, 100000)
+        for got, want in zip(expr._REAL.reciprocal_derivs(x),
+                             expr._COMPLEX.reciprocal_derivs(x + 0j)):
+            assert np.array_equal(got, want.real)
+
+
 def mirror_loops(t, rank):
     """The per-index-tuple loops that symmetrized jets before, kept as the
     reference: each sorted-index entry is copied to its permutations."""
@@ -198,12 +281,12 @@ class TestSymmetrize:
         shape = batch + (n,) * rank
         t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         ref = mirror_loops(t.copy(), rank)
-        slots = expr._zero_slots(n, rank, batch)
+        slots = expr._zero_slots(n, rank, batch, complex)
         slots[-1] = np.stack([t[(...,) + idx] for idx in
                               itertools.combinations_with_replacement(
                                   range(n), rank)])
         jet = expr.Jet(n, rank, np.zeros(batch, dtype=complex), *slots)
-        got = expr._batch_first(jet, n, rank, batch).slots()[rank]
+        got = expr._batch_first(jet, n, rank, batch, complex).slots()[rank]
         assert got.tobytes() == ref.tobytes()
         # every entry equals the one at its sorted index tuple
         for idx in np.ndindex(*(n,) * rank):
@@ -314,12 +397,14 @@ class TestRandomFieldsAgainstFiniteDifferences:
 # The evaluator before constants were folded, kept as the reference: every
 # Const became a batch-sized jet of zeros, every subtree was evaluated where
 # it occurs, slots were full and batch first, and rank-2 products and
-# compositions were symmetrized.  The elementary-function derivatives it
-# used are unchanged; its tensor helpers follow.
+# compositions were symmetrized.  It runs in the arithmetic that eval_jet
+# chooses (float64 or complex128), whose dtype its point carries; the
+# elementary-function derivatives it uses are expr's; its tensor helpers
+# follow.
 
 
-def parent_zero_slots(n, order, batch_shape):
-    return [np.zeros(batch_shape + (n,) * k, dtype=complex)
+def parent_zero_slots(n, order, batch_shape, dtype):
+    return [np.zeros(batch_shape + (n,) * k, dtype=dtype)
             for k in range(1, order + 1)]
 
 
@@ -333,6 +418,10 @@ def parent_sym_pair(h, v):
     return t + np.swapaxes(t, -1, -2) + np.moveaxis(t, -1, -3)
 
 
+def arith_of(dtype):
+    return expr._REAL if np.dtype(dtype) == np.float64 else expr._COMPLEX
+
+
 class ParentJet:
     def __init__(self, n, order, value, grad=None, hess=None, third=None):
         self.n, self.order = n, order
@@ -341,17 +430,23 @@ class ParentJet:
     def slots(self):
         return (self.value, self.grad, self.hess, self.third)[: self.order + 1]
 
+    @property
+    def arith(self):
+        return arith_of(self.value.dtype)
+
     @staticmethod
-    def constant(c, n, order, batch_shape):
-        value = np.full(batch_shape, complex(c), dtype=complex)
+    def constant(c, n, order, batch_shape, dtype=complex):
+        value = np.full(batch_shape, arith_of(dtype).literal(complex(c)),
+                        dtype=dtype)
         return ParentJet(n, order, value,
-                         *parent_zero_slots(n, order, batch_shape))
+                         *parent_zero_slots(n, order, batch_shape, dtype))
 
     @staticmethod
     def variable(i, point, order):
         n = point.shape[-1]
-        j = ParentJet(n, order, point[..., i].astype(complex),
-                      *parent_zero_slots(n, order, point.shape[:-1]))
+        j = ParentJet(n, order, point[..., i].copy(),
+                      *parent_zero_slots(n, order, point.shape[:-1],
+                                         point.dtype))
         if order >= 1:
             j.grad[..., i] = 1.0
         return j
@@ -410,7 +505,7 @@ class ParentJet:
         v = self.value
         if np.any(v == 0):
             raise DomainError("division by zero")
-        return self.compose(expr._reciprocal_derivs(v))
+        return self.compose(self.arith.reciprocal_derivs(v))
 
     def __truediv__(self, other):
         return self * other.reciprocal()
@@ -418,10 +513,11 @@ class ParentJet:
     def powi(self, e):
         v = self.value
         if e == 0:
-            return ParentJet.constant(1.0, self.n, self.order, v.shape)
+            return ParentJet.constant(1.0, self.n, self.order, v.shape,
+                                      v.dtype)
         if e < 0 and np.any(v == 0):
             raise DomainError("zero raised to a negative power")
-        return self.compose(expr._power_derivs(v, e))
+        return self.compose(self.arith.power_derivs(v, e))
 
 
 def parent_call_jet(func, j):
@@ -439,7 +535,7 @@ def parent_eval_node(node, point, order, calls=None):
 
     if isinstance(node, expr.Const):
         return ParentJet.constant(node.value, point.shape[-1], order,
-                                  point.shape[:-1])
+                                  point.shape[:-1], point.dtype)
     if isinstance(node, expr.Var):
         return ParentJet.variable(node.index, point, order)
     if isinstance(node, expr.Neg):
@@ -456,13 +552,14 @@ def parent_eval_node(node, point, order, calls=None):
 
 
 def parent_eval_jet(f, point, order):
-    pt = np.asarray(point, dtype=complex)
+    """The reference jet, in the arithmetic that f.eval_jet(point) uses."""
+    arith, pt = f._arith(point)
     jet = parent_eval_node(f.ast, pt, order)
     for slot in jet.slots():
         if not np.isfinite(slot).all():
             raise DomainError("non-finite slot")
     if pt.ndim == 1:
-        jet.value = complex(jet.value)
+        jet.value = arith.scalar(jet.value)
     return jet
 
 
@@ -579,6 +676,7 @@ class TestConstantFolding:
                     f.eval_jet(pt, order)
                 return False
             got = f.eval_jet(pt, order)
+            assert np.asarray(got.value).dtype == np.asarray(want.value).dtype
             if not exact_hess and order >= 2:
                 bound = magnitude_jet(f.ast, np.asarray(pt, dtype=complex),
                                       order)[1]

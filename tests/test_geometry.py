@@ -46,8 +46,9 @@ def points(dim, count=4, seed=3):
 
 class TestMetricField:
     def test_shared_symmetric_entries_required(self):
+        # equal entries, but not one shared field
         f = expr.parse("u1", 2)
-        g = expr.parse("u1", 2)
+        g = expr.parse("(u1)", 2)
         rows = [[f, f], [g, f]]
         with pytest.raises(ValueError):
             MetricField(2, COVARIANT, rows)

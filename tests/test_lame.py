@@ -419,6 +419,15 @@ class TestGridRoute:
         assert back.tobytes() == beta.tobytes()
         back[0, 0, 0] = 0  # a fresh, writable array
 
+    def test_real_beta_reads_back_complex(self, tmp_path):
+        # a real kernel gives a float64 beta; the file holds '<c16' still
+        beta = np.random.default_rng(1).standard_normal((2, 2, 5))
+        path = tmp_path / "beta.bin"
+        write_beta_grid(path, beta, 0.0, 1.0)
+        back, _, _ = read_beta_grid(path)
+        assert back.dtype == np.dtype("<c16")
+        assert np.array_equal(back.real, beta) and not np.any(back.imag)
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "beta.bin"
         write_beta_grid(path, np.zeros((2, 2, 4), dtype=complex), 0.0, 1.0)

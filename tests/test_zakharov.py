@@ -61,7 +61,7 @@ class TestProblemValidation:
         p = criterion7_problem()
         assert [(c.source_text, c.ast) for c in calls] == [
             (p.Phi[i, i].source_text, p.Phi[i, i].ast) for i in range(2)]
-        # fields parsed again from the same texts share the ASTs, whose
+        # parsing the same texts again returns the same fields, whose
         # verdicts are kept
         criterion7_problem(u=(0.25, 0.45))
         assert len(calls) == 2
@@ -116,6 +116,7 @@ class TestBuildKernel:
         class PointByPoint:
             def __init__(self, phi):
                 self.phi = phi
+                self.real_closed = phi.real_closed
 
             def eval_jet(self, pts, order):
                 jets = [self.phi.eval_jet(q, order)
@@ -195,6 +196,44 @@ class TestPhiPdes:
         p = DressingProblem(2, phi, np.array([0.0, -5.0]), 0.0, 1.0, 4, f)
         res_off, _ = check_phi_pdes(p, [[0.2, 0.6], [0.8, 0.1]])
         assert res_off > 1e-2
+
+
+class TestKernelDtype:
+    """Real-closed potentials give a real kernel, solved in float64; a
+    complex literal keeps the complex path."""
+
+    def test_real_potentials_solve_in_float64(self):
+        p = criterion7_problem(m=24)
+        k = build_kernel(p)
+        assert k.values.dtype == np.float64
+        assert _row_operator(k.values, k.nodes, 3)[0].dtype == np.float64
+        sol = solve_integral_equation(k, rows=[0, 5])
+        assert sol.values.dtype == np.float64
+        assert extract_beta(sol).dtype == np.float64
+        for a in (0, 5):
+            ref = neumann_solution(k, a)
+            assert np.max(np.abs(sol.values[:, :, a, a:] - ref)) < 1e-12
+        B, D = dressing_rotation(p).jet(p.u)
+        assert B.dtype == D.dtype == np.float64
+
+    def test_imaginary_literal_solves_in_complex(self):
+        phi = {
+            (0, 1): expr.parse(
+                "(1+0.5i)*0.05*exp(-40*((u1+0.2)^2 + (u2+0.3)^2))", 2),
+            (0, 0): expr.parse(
+                "0.05*(u1-u2)*exp(-30*((u1+0.25)^2 + (u2+0.25)^2))", 2),
+        }
+        p = DressingProblem(2, phi, np.array([0.3, 0.4]), 0.0, 1.0, 32)
+        k = build_kernel(p)
+        assert k.values.dtype == np.complex128
+        assert np.any(k.values.imag)
+        sol = solve_integral_equation(k, rows=[0])
+        assert sol.values.dtype == np.complex128
+        ref = neumann_solution(k, 0)
+        assert np.max(np.abs(sol.values[:, :, 0, 0:] - ref)) < 1e-8
+        beta = dressing_rotation(p).value(p.u)
+        assert beta.dtype == np.complex128
+        assert np.max(np.abs(beta - ref[:, :, 0].T)) < 1e-8
 
 
 class TestIntegralEquation:
