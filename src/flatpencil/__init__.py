@@ -23,6 +23,7 @@ from .geometry import (
     Affinor,
     GeometryJet,
     MetricField,
+    PencilMembers,
     affinor_at,
     geometry_jet,
     linear_combination,

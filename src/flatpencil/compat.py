@@ -9,6 +9,10 @@ Three nested notions are decided by pointwise sampling:
 * flat pencil — compatible and every pencil member (endpoints included) is
   flat.
 
+All three are decided in one sweep over the sample points, with one geometry
+evaluation per point: the stacked `PencilMembers` of g1, g2 and every
+sampled member, from the entry jets of g1 and g2 evaluated once.
+
 Also here: the constant-curvature test, the flat-coordinate vector-field
 construction of g1 from g2 = eta, the bracket-ansatz metric built from a
 vector of potentials h^i, and the associativity residual for a single
@@ -29,10 +33,10 @@ from .expr import constant
 from .geometry import (
     CONTRAVARIANT,
     MetricField,
+    PencilMembers,
     affinor_from_jets,
     degenerate,
     geometry_jet,
-    member_jet,
     nijenhuis,
     roots_and_gap,
     tensor_M_from_jets,
@@ -109,7 +113,7 @@ class MetricPair:
                              "need at least one pencil member (l1, l2)")
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckResult:
     """Verdict plus named max residuals and their worst witness points."""
 
@@ -118,7 +122,7 @@ class CheckResult:
     witnesses: Dict[str, np.ndarray]
 
 
-@dataclass
+@dataclass(slots=True)
 class CompatReport:
     almost_compatible: bool
     compatible: bool
@@ -139,14 +143,17 @@ class _Worst:
         """Keep the larger residual; a non-finite one wins and then stays.
 
         `value` may also hold one residual per row of the point batch
-        `point`: its first non-finite entry stands for the batch, otherwise
-        its first largest one, exactly as if the rows came one at a time.
+        `point`, or one per pencil member at the one point `point`: its
+        first non-finite entry stands for them all, otherwise its first
+        largest one, exactly as if they came one at a time.
         """
         v = np.asarray(value, dtype=float)
         if v.ndim:
             bad = ~np.isfinite(v)
             k = int(np.argmax(bad if bad.any() else v))
-            v, point = v[k], np.asarray(point)[k]
+            v = v[k]
+            if np.ndim(point) > 1:
+                point = np.asarray(point)[k]
         v = float(v)
         old = self.res.get(name)
         if old is None or (math.isfinite(old) and not v <= old):
@@ -174,49 +181,53 @@ _STAGES = ("almost", "compatible", "flat", "full")
 def _pass(pair, stage):
     """One sweep over the sample points with everything `stage` needs.
 
-    At each point the entries of g1 and g2 are evaluated once, by their
-    `geometry_jet`; those entry jets also give, from "compatible" on, the
-    geometry of each sampled pencil member, which serves both linearity and
-    flatness.  The affinor, Nijenhuis and M tensors and the eigen-gap come
-    from the jets of g1 and g2.  Returns the residuals and, for "full",
-    whether the pencil eigenvalues stay apart at every point.
+    At each point one `geometry_jet` call, on the `PencilMembers` source of
+    g1, g2 and, from "compatible" on, every sampled pencil member, evaluates
+    the entries of g1 and g2 once and gives the geometry of all of them over
+    a leading member axis.  The affinor, Nijenhuis and M tensors and the
+    eigen-gap come from members 0 and 1 (g1 and g2), linearity from the
+    sampled members, flatness from all of them.  Scales and reductions are
+    numpy's (`np.maximum`, `_abs_max`), which propagate NaN, where Python's
+    `max` drops a NaN that is not its first argument; each residual name
+    gets one `_Worst.update` per point.  Returns the residuals and, for
+    "full", whether the pencil eigenvalues stay apart at every point.
     """
     depth = _STAGES.index(stage)
     lambdas = pair.lambda_samples if depth >= 1 else []
+    members = PencilMembers(pair.g1, pair.g2, lambdas, ends=True)
+    # one name object per member across reports, not a copy each
+    flatness = [sys.intern(f"flatness({a},{b})")
+                for a, b in [(1.0, 0.0), (0.0, 1.0)] + lambdas]
     w = _Worst()
     nonsingular = True
     for p in pair.sample_points:
-        j1, j2 = geometry_jet(pair.g1, p), geometry_jet(pair.g2, p)
-        E1 = (j1.g_up, j1.dg_up, j1.d2g_up)
-        E2 = (j2.g_up, j2.dg_up, j2.d2g_up)
-        scale = 1.0 + max(
-            np.max(np.abs(j1.g_up)), np.max(np.abs(j2.g_up)),
-            np.max(np.abs(j1.gamma_contra)), np.max(np.abs(j2.gamma_contra)),
-        )
+        try:
+            jets = geometry_jet(members, p)
+        except DegenerateMetric as exc:
+            if exc.index[0] < 2:
+                raise  # g1 or g2 itself
+            l1, l2 = lambdas[exc.index[0] - 2]
+            raise DegenerateMetric(
+                p, exc.absdet,
+                context=f"pencil member lambda=({l1}, {l2})") from exc
+        j1, j2 = jets[0], jets[1]
+        gc, R = jets.gamma_contra, jets.riemann_upup
+        scale = 1.0 + np.maximum(_abs_max(jets.g_up[:2], 0),
+                                 _abs_max(gc[:2], 0))
         aff = affinor_from_jets(j1, j2)
-        w.update("nijenhuis", np.max(np.abs(nijenhuis(aff))) / scale, p)
-        w.update("M", np.max(np.abs(tensor_M_from_jets(j1, j2))) / scale, p)
-
-        jets = [((1.0, 0.0), j1), ((0.0, 1.0), j2)]
-        for l1, l2 in lambdas:
-            jc = member_jet(l1, E1, l2, E2, p)
-            jets.append(((l1, l2), jc))
-            target_g = l1 * j1.gamma_contra + l2 * j2.gamma_contra
-            target_r = l1 * j1.riemann_upup + l2 * j2.riemann_upup
-            sg = 1.0 + max(np.max(np.abs(jc.gamma_contra)),
-                           np.max(np.abs(target_g)))
-            sr = 1.0 + max(np.max(np.abs(jc.riemann_upup)),
-                           np.max(np.abs(target_r)))
-            w.update("gamma_linearity",
-                     np.max(np.abs(jc.gamma_contra - target_g)) / sg, p)
+        w.update("nijenhuis", _abs_max(nijenhuis(aff), 0) / scale, p)
+        w.update("M", _abs_max(tensor_M_from_jets(j1, j2), 0) / scale, p)
+        if depth >= 1:
+            target_g = members.combine(gc[0], gc[1])
+            target_r = members.combine(R[0], R[1])
+            sg = 1.0 + np.maximum(_abs_max(gc[2:]), _abs_max(target_g))
+            sr = 1.0 + np.maximum(_abs_max(R[2:]), _abs_max(target_r))
+            w.update("gamma_linearity", _abs_max(gc[2:] - target_g) / sg, p)
             w.update("curvature_linearity",
-                     np.max(np.abs(jc.riemann_upup - target_r)) / sr, p)
-
+                     _abs_max(R[2:] - target_r) / sr, p)
         if depth >= 2:
-            for (l1, l2), j in jets:
-                # one name object per member across reports, not a copy each
-                w.update(sys.intern(f"flatness({l1},{l2})"),
-                         _flatness_residual(j), p)
+            for name, r in zip(flatness, _flatness_residual(jets)):
+                w.update(name, r, p)
         if depth >= 3:
             nonsingular = nonsingular and roots_and_gap(aff.v)[1] > 1e-6
     return w, bool(nonsingular)
@@ -382,22 +393,19 @@ def mokhov_bracket_metric(eta, h, points, tol=DEFAULT_TOL):
 
     # Connection-level check only: the pencil member lambda1*eta + lambda2*g2
     # must have Christoffel symbols -lambda2 * b (eta contributes none).
+    samples = [(1.0, 0.5), (1.0, -0.5), (2.0, 0.25)]
+    members = PencilMembers(g1, g2, samples)
     w = _Worst()
     for p, b in zip(pts, b_at(pts)):
-        # entry jets, not geometry_jet: g2 may be degenerate at p
-        E1, E2 = g1.entry_jets(p, 2), g2.entry_jets(p, 2)
-        used = 0
-        for l1, l2 in [(1.0, 0.5), (1.0, -0.5), (2.0, 0.25)]:
-            try:
-                jc = member_jet(l1, E1, l2, E2, p)
-            except DegenerateMetric:
-                continue  # this lambda hits a pencil eigenvalue; skip it
-            used += 1
-            scale = 1.0 + max(np.max(np.abs(b)), np.max(np.abs(jc.gamma_contra)))
-            w.update("gamma_linearity",
-                     np.max(np.abs(jc.gamma_contra + l2 * b)) / scale, p)
-        if used == 0:
+        # a member degenerate at p sits on a pencil eigenvalue: drop it
+        V = members.entry_jets(p, 0)[0]
+        kept = [lam for lam, bad in zip(samples, degenerate(V)[0]) if not bad]
+        if not kept:
             raise DegenerateMetric(p, 0.0, context="all pencil samples")
+        gc = geometry_jet(PencilMembers(g1, g2, kept), p).gamma_contra
+        l2 = np.array([l for _, l in kept], dtype=complex)[:, None, None, None]
+        scale = 1.0 + np.maximum(_abs_max(b, 0), _abs_max(gc))
+        w.update("gamma_linearity", _abs_max(gc + l2 * b) / scale, p)
     return g2, b_at, CheckResult(w.res["gamma_linearity"] < tol, w.res, w.wit)
 
 

@@ -25,15 +25,20 @@ class DomainError(FlatPencilError):
 
 
 class DegenerateMetric(FlatPencilError):
-    """Metric determinant vanished (within tolerance) at a sample point."""
+    """Metric determinant vanished (within tolerance) at a sample point.
 
-    def __init__(self, point, absdet, context=""):
+    `index` is the batch index of the degenerate matrix (a tuple) when it
+    came from a batch, such as the member axis of a stacked pencil.
+    """
+
+    def __init__(self, point, absdet, context="", index=None):
         msg = f"metric degenerate at {point} (|det| = {absdet:.3e})"
         if context:
             msg += f" [{context}]"
         super().__init__(msg)
         self.point = point
         self.absdet = absdet
+        self.index = index
 
 
 class SingularOperator(FlatPencilError):

@@ -3,7 +3,9 @@
 Everything here is a pure function of immutable field inputs at a point (n,)
 or a batch (..., n), whose axes lead every output: inverse, both Christoffel
 index positions and curvature of a metric; affinor, Nijenhuis and M tensors
-of a pair; pencil eigenvalues, at one point only.
+of a pair; pencil eigenvalues, at one point only.  A metric source may add
+axes of its own ahead of the point's, such as the member axis of
+`PencilMembers`.
 """
 
 from __future__ import annotations
@@ -125,6 +127,46 @@ def linear_combination(l1, g1, l2, g2):
     return MetricField.from_upper(upper, g1.variance)
 
 
+class PencilMembers:
+    """Metric source of the pencil members l1*g1 + l2*g2 of two contravariant
+    metrics, stacked on a leading member axis in the order of `lambdas`;
+    with `ends`, g1 and g2 themselves come first.
+
+    Its `entry_jets` evaluates the entries of g1 and g2 once.  Entry jets
+    are linear in the metric, so each member's are l1*E1 + l2*E2 of those
+    exactly, and no member is built or differentiated as an expression of
+    its own; `geometry_jet` of the source gives every member in one call.
+    """
+
+    variance = CONTRAVARIANT
+
+    def __init__(self, g1, g2, lambdas, ends=False):
+        if g1.dim != g2.dim or {g1.variance, g2.variance} != {CONTRAVARIANT}:
+            raise ValueError("members need two contravariant metrics "
+                             "of one dimension")
+        self.g1, self.g2, self.dim, self.ends = g1, g2, g1.dim, ends
+        self._l1, self._l2 = np.array(
+            list(lambdas), dtype=complex).reshape(-1, 2).T
+
+    def entry_jets(self, point, order):
+        """(V, d, d2) of every member, member axis first; see MetricField."""
+        E1 = self.g1.entry_jets(point, order)
+        E2 = self.g2.entry_jets(point, order)
+        return tuple([None if a is None else self._stack(a, b)
+                      for a, b in zip(E1, E2)])
+
+    def combine(self, a, b):
+        """l1*a + l2*b for each (l1, l2) of `lambdas`, stacked on a leading
+        axis: the members' value of a quantity linear in the metric."""
+        axes = (-1,) + (1,) * np.ndim(a)
+        return self._l1.reshape(axes) * a + self._l2.reshape(axes) * b
+
+    def _stack(self, a, b):
+        if not self.ends:
+            return self.combine(a, b)
+        return np.concatenate((a[None], b[None], self.combine(a, b)))
+
+
 @dataclass
 class GeometryJet:
     """All tensor data of one metric; batch axes, if any, lead each array."""
@@ -140,6 +182,10 @@ class GeometryJet:
     gamma_contra: np.ndarray  # [i,j,k] = Gamma^{ij}_k
     riemann_mixed: np.ndarray  # [i,j,k,l] = R^i_{jkl}
     riemann_upup: np.ndarray   # [i,j,k,l] = R^{ij}_{kl}
+
+    def __getitem__(self, k):
+        """The jet at batch index k (a member or a point) of a batched jet."""
+        return GeometryJet(*[a[k] for a in vars(self).values()])
 
 
 @dataclass
@@ -166,11 +212,11 @@ def degenerate(V):
 
 def _checked_inverse(V, point):
     """inv(V) of shape (..., n, n); DegenerateMetric names the first point
-    in batch order whose V is degenerate."""
+    in batch order whose V is degenerate, and its batch index."""
     bad, absdet = degenerate(V)
     if bad.any():
-        k = np.unravel_index(np.argmax(bad), bad.shape)
-        raise DegenerateMetric(np.asarray(point)[k], absdet[k])
+        k = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        raise DegenerateMetric(np.asarray(point)[k], absdet[k], index=k)
     return np.linalg.inv(V)
 
 
@@ -238,25 +284,16 @@ def geometry_jet(g, point):
     """Metric inverse, Christoffel symbols and curvature at a point or batch.
 
     The Levi-Civita connection comes from the covariant entries; curvature
-    needs second metric derivatives, supplied exactly by the jets.
+    needs second metric derivatives, supplied exactly by the jets.  `g` is
+    any source with `dim`, `variance` and `entry_jets(point, order)`, such
+    as a MetricField or PencilMembers; `point` is broadcast over the axes
+    the source adds ahead of its own, so `GeometryJet.point` and a
+    DegenerateMetric name a point per member.
     """
     pt = np.asarray(point, dtype=complex)
-    return _geometry_from_entries(*g.entry_jets(pt, 2), g.variance, pt)
-
-
-def member_jet(l1, E1, l2, E2, point):
-    """GeometryJet of the pencil member l1*g1 + l2*g2 of two contravariant
-    metrics from their order-2 entry jets E1 and E2 = (V, d, d2), such as
-    a contravariant GeometryJet's (g_up, dg_up, d2g_up).  Entry jets are
-    linear in the metric, so the member's are l1*E1 + l2*E2 exactly.  A
-    degenerate member raises DegenerateMetric naming its lambda."""
-    try:
-        return _geometry_from_entries(
-            *(l1 * a + l2 * b for a, b in zip(E1, E2)), CONTRAVARIANT, point)
-    except DegenerateMetric as exc:
-        raise DegenerateMetric(
-            exc.point, exc.absdet,
-            context=f"pencil member lambda=({l1}, {l2})") from exc
+    V, d, d2 = g.entry_jets(pt, 2)
+    pt = np.broadcast_to(pt, V.shape[:-2] + pt.shape[-1:])
+    return _geometry_from_entries(V, d, d2, g.variance, pt)
 
 
 def affinor_from_jets(j1, j2):

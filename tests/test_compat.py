@@ -24,11 +24,17 @@ from flatpencil.geometry import (
     CONTRAVARIANT,
     GeometryJet,
     MetricField,
+    PencilMembers,
+    affinor_from_jets,
     degenerate,
     geometry_jet,
     linear_combination,
-    member_jet,
+    nijenhuis,
+    roots_and_gap,
+    tensor_M_from_jets,
 )
+from flatpencil.lame import LameData, assemble_pair
+from flatpencil.twocomp import TwoCompModel, assemble_two_metrics
 
 PTS = sample_points(2, 8, seed=11, lo=0.3, hi=1.8)
 EYE2 = MetricField.from_constant(np.eye(2))
@@ -193,13 +199,18 @@ def jets_equal(a, b):
 class TestMembersByLinearity:
     def test_member_jet_equals_expression_route_bit_for_bit(self):
         g1, g2 = nondiagonal_3d_pair()
+        # one geometry_jet of the stacked members, at one point or a batch,
+        # against one per member with each member built as an expression
         lambdas = [(1.0, 1.0), (2.0, -3.0), (0.4 - 1.3j, 0.7 + 0.2j)]
-        for p in sample_points(3, 4, seed=5, lo=0.3, hi=1.5):
-            E1 = g1.entry_jets(p, 2)
-            E2 = g2.entry_jets(p, 2)
-            for l1, l2 in lambdas:
-                ref = geometry_jet(linear_combination(l1, g1, l2, g2), p)
-                assert jets_equal(member_jet(l1, E1, l2, E2, p), ref)
+        pts = sample_points(3, 4, seed=5, lo=0.3, hi=1.5)
+        members = PencilMembers(g1, g2, lambdas, ends=True)
+        metrics = [g1, g2] + [linear_combination(l1, g1, l2, g2)
+                              for l1, l2 in lambdas]
+        for p in list(pts) + [pts]:
+            jets = geometry_jet(members, p)
+            assert jets.g_up.shape[0] == len(metrics)
+            for k, g in enumerate(metrics):
+                assert jets_equal(jets[k], geometry_jet(g, p))
 
     def test_mokhov_fallback_with_nonzero_b_matches_expression_route(self):
         # g2 = [[2 u1^2, 2 u2 (1 + u1)], [2 u2 (1 + u1), 0]] is degenerate at
@@ -231,6 +242,194 @@ class TestMembersByLinearity:
         assert r.max_residuals == ref.res
         assert np.array_equal(r.witnesses["gamma_linearity"],
                               ref.wit["gamma_linearity"])
+
+
+def per_member_reference(pair, depth):
+    """The sweep of _pass with one geometry_jet per metric and per member,
+    each member built as an expression, and scales from Python's max."""
+    g1, g2 = pair.g1, pair.g2
+    lambdas = pair.lambda_samples if depth >= 1 else []
+    w = _Worst()
+    nonsingular = True
+    for p in pair.sample_points:
+        j1, j2 = geometry_jet(g1, p), geometry_jet(g2, p)
+        scale = 1.0 + max(
+            np.max(np.abs(j1.g_up)), np.max(np.abs(j2.g_up)),
+            np.max(np.abs(j1.gamma_contra)), np.max(np.abs(j2.gamma_contra)),
+        )
+        aff = affinor_from_jets(j1, j2)
+        w.update("nijenhuis", np.max(np.abs(nijenhuis(aff))) / scale, p)
+        w.update("M", np.max(np.abs(tensor_M_from_jets(j1, j2))) / scale, p)
+        jets = [((1.0, 0.0), j1), ((0.0, 1.0), j2)]
+        for l1, l2 in lambdas:
+            jc = geometry_jet(linear_combination(l1, g1, l2, g2), p)
+            jets.append(((l1, l2), jc))
+            target_g = l1 * j1.gamma_contra + l2 * j2.gamma_contra
+            target_r = l1 * j1.riemann_upup + l2 * j2.riemann_upup
+            sg = 1.0 + max(np.max(np.abs(jc.gamma_contra)),
+                           np.max(np.abs(target_g)))
+            sr = 1.0 + max(np.max(np.abs(jc.riemann_upup)),
+                           np.max(np.abs(target_r)))
+            w.update("gamma_linearity",
+                     np.max(np.abs(jc.gamma_contra - target_g)) / sg, p)
+            w.update("curvature_linearity",
+                     np.max(np.abs(jc.riemann_upup - target_r)) / sr, p)
+        if depth >= 2:
+            for (l1, l2), j in jets:
+                w.update(f"flatness({l1},{l2})", compat._flatness_residual(j),
+                         p)
+        if depth >= 3:
+            nonsingular = nonsingular and roots_and_gap(aff.v)[1] > 1e-6
+    return w, nonsingular
+
+
+def lame_3d_pair():
+    one, two = expr.parse("1", 1), expr.parse("2", 1)
+    H = [expr.parse(t, 3) for t in ("1", "u1", "u1*sin(u2)")]
+    return assemble_pair(LameData(H, [one, one, two]))
+
+
+def two_component_pair():
+    f1 = expr.parse("u1", 1)
+    b = expr.parse("sqrt(u1-u2+3)", 2)
+    return assemble_two_metrics(TwoCompModel(
+        b, b, expr.parse("0.5*ln(u1-u2+3)", 2), -1, 1, f1, f1))
+
+
+def same_bits(res, ref):
+    return (list(res) == list(ref)
+            and all(float(res[k]).hex() == float(ref[k]).hex() for k in ref))
+
+
+class TestStackedMembers:
+    @pytest.mark.parametrize("make", [nondiagonal_3d_pair, lame_3d_pair,
+                                      two_component_pair])
+    @pytest.mark.parametrize("lambdas", [
+        [(1.0, 1.0), (2.0, -3.0), (1.0, 0.5)],
+        [(0.4 - 1.3j, 0.7 + 0.2j), (1.0, 0.5j), (2.0, 3.0)],
+    ])
+    def test_all_stages_equal_per_member_reference(self, make, lambdas):
+        g1, g2 = make()
+        pts = sample_points(g1.dim, 5, seed=8, lo=0.4, hi=1.2)
+        pair = MetricPair(g1, g2, pts, lambdas)
+        refs = [per_member_reference(pair, depth) for depth in range(4)]
+        results = [check_almost_compatible(pair), check_compatible(pair),
+                   check_flat_pencil(pair), full_report(pair)]
+        for (ref, nonsingular), got in zip(refs, results):
+            assert same_bits(got.max_residuals, ref.res)
+            assert list(got.witnesses) == list(ref.wit)
+            for k, wit in ref.wit.items():
+                assert got.witnesses[k].dtype == wit.dtype
+                assert np.array_equal(got.witnesses[k], wit)
+        res = refs[3][0].res
+        almost = all(res[k] < pair.tol for k in ("nijenhuis", "M"))
+        linear = all(res[k] < pair.tol
+                     for k in ("gamma_linearity", "curvature_linearity"))
+        flat = all(v < pair.tol for k, v in res.items()
+                   if k.startswith("flatness"))
+        assert [r.passed for r in results[:3]] == [
+            almost, almost and linear, almost and linear and flat]
+        rep = results[3]
+        assert (rep.almost_compatible, rep.compatible, rep.flat_pencil,
+                rep.nonsingular) == (almost, almost and linear,
+                                     almost and linear and flat, refs[3][1])
+
+    def test_members_need_two_contravariant_metrics(self):
+        g1, g2 = nondiagonal_3d_pair()
+        down = MetricField(3, "covariant", g2.entries)
+        for a, b in ((g1, down), (down, g1), (g1, EYE2)):
+            with pytest.raises(ValueError, match="contravariant"):
+                PencilMembers(a, b, [(1.0, 1.0)])
+
+    def test_one_geometry_call_per_point(self, monkeypatch):
+        calls = []
+        real = compat.geometry_jet
+
+        def counting(g, point):
+            calls.append(g)
+            return real(g, point)
+
+        monkeypatch.setattr(compat, "geometry_jet", counting)
+        g1, g2 = nondiagonal_3d_pair()
+        pts = sample_points(3, 4, seed=5, lo=0.3, hi=1.5)
+        pair = MetricPair(g1, g2, pts)
+        for check in (check_almost_compatible, check_compatible,
+                      check_flat_pencil, full_report):
+            calls.clear()
+            check(pair)
+            assert len(calls) == len(pts)
+
+    def test_witnesses_are_rows_of_the_sample_points(self):
+        g1, g2 = nondiagonal_3d_pair()
+        pair = MetricPair(g1, g2, sample_points(3, 6, seed=4, lo=0.3, hi=1.5))
+        wit = full_report(pair).witnesses
+        assert len(wit) == 10
+        for a in wit.values():
+            assert np.shares_memory(a, pair.sample_points)
+            assert any(np.array_equal(a, p) for p in pair.sample_points)
+            # one object per point, shared by every name it witnesses
+            assert all(b is a for b in wit.values() if np.array_equal(a, b))
+
+    def test_nan_in_a_scale_fails_closed(self, monkeypatch):
+        # a NaN in g2's Christoffel symbols reaches the Nijenhuis residual
+        # only through its scale, which Python's max would have dropped
+        real = compat.geometry_jet
+
+        def planted(g, point):
+            jets = real(g, point)
+            jets.gamma_contra[1, 0, 0, 0] = np.nan
+            return jets
+
+        g1 = MetricField.diagonal([expr.parse("u1", 2), expr.parse("u2", 2)])
+        pair = MetricPair(g1, EYE2, PTS)
+        assert check_almost_compatible(pair).passed
+        monkeypatch.setattr(compat, "geometry_jet", planted)
+        r = check_almost_compatible(pair)
+        assert np.isnan(r.max_residuals["nijenhuis"]) and not r.passed
+        assert np.array_equal(r.witnesses["nijenhuis"], PTS[0])
+
+
+class TestMemberDegeneracy:
+    # g1 = diag(u1, 2) against g2 = eye: the member l1*g1 + l2*g2 is
+    # degenerate where l1*u1 + l2 = 0, and everywhere when 2*l1 + l2 = 0
+    G1 = MetricField.diagonal([expr.parse("u1", 2), expr.parse("2", 2)])
+    PTS = np.array([[0.5, 0.5], [0.8, 0.3], [1.0, 0.4], [1.0, 0.9]])
+
+    @pytest.mark.parametrize("check", [check_almost_compatible,
+                                       check_compatible, check_flat_pencil,
+                                       full_report])
+    def test_degenerate_g1_names_its_point_without_lambda(self, check):
+        g1 = MetricField.diagonal([expr.parse("u1-0.8", 2),
+                                   expr.parse("1", 2)])
+        with pytest.raises(DegenerateMetric) as e:
+            check(MetricPair(g1, EYE2, self.PTS, [(1.0, 2.0), (2.0, 3.0)]))
+        assert np.array_equal(e.value.point, self.PTS[1])
+        assert "pencil member" not in str(e.value)
+
+    @pytest.mark.parametrize("check", [check_compatible, check_flat_pencil,
+                                       full_report])
+    def test_lambda_on_an_eigenvalue_names_it_and_its_first_point(self,
+                                                                  check):
+        pair = MetricPair(self.G1, EYE2, self.PTS,
+                          [(1.0, 1.0), (1.0, -1.0), (2.0, 3.0)])
+        assert check_almost_compatible(pair).passed
+        with pytest.raises(DegenerateMetric,
+                           match=r"pencil member lambda=\(1\.0, -1\.0\)"
+                           ) as e:
+            check(pair)
+        assert np.array_equal(e.value.point, self.PTS[2])
+
+    @pytest.mark.parametrize("lambdas, named", [
+        ([(1.0, 1.0), (1.0, -2.0), (1.0, -1.0)], r"\(1\.0, -2\.0\)"),
+        ([(1.0, -1.0), (1.0, -2.0), (1.0, 1.0)], r"\(1\.0, -1\.0\)"),
+    ])
+    def test_first_degenerate_member_in_sample_order_is_named(self, lambdas,
+                                                              named):
+        # at the point u1 = 1 both (1, -1) and (1, -2) are degenerate
+        pair = MetricPair(self.G1, EYE2, self.PTS[2:], lambdas)
+        with pytest.raises(DegenerateMetric, match="lambda=" + named) as e:
+            check_compatible(pair)
+        assert np.array_equal(e.value.point, self.PTS[2])
 
 
 def constant_curvature_by_point(g, K, points):
