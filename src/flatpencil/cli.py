@@ -27,6 +27,7 @@ from .compat import (
     DEFAULT_TOL,
     MetricPair,
     _Worst,
+    _relative,
     check_compatible,
     check_flat_pencil,
     default_lambda_samples,
@@ -38,6 +39,7 @@ from .expr import parse
 from .geometry import (
     CONTRAVARIANT,
     MetricField,
+    PencilMembers,
     affinor_from_jets,
     geometry_jet,
     nijenhuis,
@@ -353,14 +355,13 @@ def identity_residuals(g1, g2, point):
     each Levi-Civita connection in contravariant form; curvature
     antisymmetries.
     """
-    j1 = geometry_jet(g1, point)
-    j2 = geometry_jet(g2, point)
+    jets = geometry_jet(PencilMembers(g1, g2, [], ends=True), point)
+    j1, j2 = jets[0], jets[1]
     N = nijenhuis(affinor_from_jets(j1, j2))
     M = tensor_M_from_jets(j1, j2)
     lhs = np.einsum(
         "sp,prq,ri,qj,sk->ijk", j1.g_down, N, j2.g_up, j2.g_up, j2.g_up
     )
-    scale = 1.0 + max(np.max(np.abs(lhs)), np.max(np.abs(M)))
     mn1 = lhs - (
         np.einsum("kji->ijk", M) + np.einsum("ikj->ijk", M) + M
     )
@@ -368,29 +369,21 @@ def identity_residuals(g1, g2, point):
         lhs + np.einsum("ikj->ijk", lhs)
     )
     mn3 = 2 * np.einsum("kji->ijk", M) - (lhs - np.einsum("ikj->ijk", lhs))
-    out = {
-        "mn1": np.max(np.abs(mn1)) / scale,
-        "mn2": np.max(np.abs(mn2)) / scale,
-        "mn3": np.max(np.abs(mn3)) / scale,
-    }
-    for tag, j in (("g1", j1), ("g2", j2)):
-        sc = 1.0 + np.max(np.abs(j.dg_up)) + np.max(np.abs(j.gamma_contra))
-        comp = (
-            np.einsum("kij->ijk", j.dg_up)
-            + j.gamma_contra
-            + np.einsum("jik->ijk", j.gamma_contra)
-        )
-        symm = (
-            np.einsum("is,jks->ijk", j.g_up, j.gamma_contra)
-            - np.einsum("js,iks->ijk", j.g_up, j.gamma_contra)
-        )
-        scr = 1.0 + np.max(np.abs(j.riemann_upup))
-        anti_kl = j.riemann_upup + np.einsum("ijkl->ijlk", j.riemann_upup)
-        anti_ij = j.riemann_upup + np.einsum("ijkl->jikl", j.riemann_upup)
-        out[f"ch1_{tag}"] = np.max(np.abs(comp)) / sc
-        out[f"ch2_{tag}"] = np.max(np.abs(symm)) / sc
-        out[f"curv_antisym_kl_{tag}"] = np.max(np.abs(anti_kl)) / scr
-        out[f"curv_antisym_ij_{tag}"] = np.max(np.abs(anti_ij)) / scr
+    out = {f"mn{k}": _relative(mn, lhs, M, lead=0)
+           for k, mn in enumerate((mn1, mn2, mn3), 1)}
+    # g1 and g2 on the member axis of `jets`
+    dg, gc, R = jets.dg_up, jets.gamma_contra, jets.riemann_upup
+    comp = (np.einsum("...kij->...ijk", dg) + gc
+            + np.einsum("...jik->...ijk", gc))
+    symm = (np.einsum("...is,...jks->...ijk", jets.g_up, gc)
+            - np.einsum("...js,...iks->...ijk", jets.g_up, gc))
+    anti_kl = R + np.einsum("...ijkl->...ijlk", R)
+    anti_ij = R + np.einsum("...ijkl->...jikl", R)
+    for name, r in (("ch1", _relative(comp, dg, gc)),
+                    ("ch2", _relative(symm, dg, gc)),
+                    ("curv_antisym_kl", _relative(anti_kl, R)),
+                    ("curv_antisym_ij", _relative(anti_ij, R))):
+        out[f"{name}_g1"], out[f"{name}_g2"] = r
     return {k: float(v) for k, v in out.items()}
 
 

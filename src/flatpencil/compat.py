@@ -167,12 +167,21 @@ def _abs_max(a, lead=1):
     return a.reshape(a.shape[:lead] + (-1,)).max(axis=-1)
 
 
+def _relative(res, *refs, lead=1):
+    """The package's one residual scale: max |res| over all but the `lead`
+    leading axes, over 1 + the largest such max of the reference tensors
+    `refs` (a ref may already be a reduced size); NaN propagates.  The 1
+    makes the ratio an absolute size once the refs are small."""
+    size = _abs_max(refs[0], lead)
+    for r in refs[1:]:
+        size = np.maximum(size, _abs_max(r, lead))
+    return _abs_max(res, lead) / (1.0 + size)
+
+
 def _flatness_residual(j):
-    """Scale-relative size of a jet's curvature R^{ij}_{kl}, per point."""
-    lead = j.point.ndim - 1
-    scale = 1.0 + np.maximum(_abs_max(j.g_up, lead),
-                             _abs_max(j.gamma_contra, lead))
-    return _abs_max(j.riemann_upup, lead) / scale
+    """Relative size of a jet's curvature R^{ij}_{kl}, per point."""
+    return _relative(j.riemann_upup, j.g_up, j.gamma_contra,
+                     lead=j.point.ndim - 1)
 
 
 _STAGES = ("almost", "compatible", "flat", "full")
@@ -186,10 +195,10 @@ def _pass(pair, stage):
     the entries of g1 and g2 once and gives the geometry of all of them over
     a leading member axis.  The affinor, Nijenhuis and M tensors and the
     eigen-gap come from members 0 and 1 (g1 and g2), linearity from the
-    sampled members, flatness from all of them.  Scales and reductions are
-    numpy's (`np.maximum`, `_abs_max`), which propagate NaN, where Python's
-    `max` drops a NaN that is not its first argument; each residual name
-    gets one `_Worst.update` per point.  Returns the residuals and, for
+    sampled members, flatness from all of them.  Every residual goes through
+    `_relative`, whose reductions propagate NaN, where Python's `max` drops
+    a NaN that is not its first argument; each residual name gets one
+    `_Worst.update` per point.  Returns the residuals and, for
     "full", whether the pencil eigenvalues stay apart at every point.
     """
     depth = _STAGES.index(stage)
@@ -212,19 +221,18 @@ def _pass(pair, stage):
                 context=f"pencil member lambda=({l1}, {l2})") from exc
         j1, j2 = jets[0], jets[1]
         gc, R = jets.gamma_contra, jets.riemann_upup
-        scale = 1.0 + np.maximum(_abs_max(jets.g_up[:2], 0),
-                                 _abs_max(gc[:2], 0))
+        refs = (jets.g_up[:2], gc[:2])
         aff = affinor_from_jets(j1, j2)
-        w.update("nijenhuis", _abs_max(nijenhuis(aff), 0) / scale, p)
-        w.update("M", _abs_max(tensor_M_from_jets(j1, j2), 0) / scale, p)
+        w.update("nijenhuis", _relative(nijenhuis(aff), *refs, lead=0), p)
+        w.update("M", _relative(tensor_M_from_jets(j1, j2), *refs, lead=0),
+                 p)
         if depth >= 1:
             target_g = members.combine(gc[0], gc[1])
             target_r = members.combine(R[0], R[1])
-            sg = 1.0 + np.maximum(_abs_max(gc[2:]), _abs_max(target_g))
-            sr = 1.0 + np.maximum(_abs_max(R[2:]), _abs_max(target_r))
-            w.update("gamma_linearity", _abs_max(gc[2:] - target_g) / sg, p)
+            w.update("gamma_linearity",
+                     _relative(gc[2:] - target_g, gc[2:], target_g), p)
             w.update("curvature_linearity",
-                     _abs_max(R[2:] - target_r) / sr, p)
+                     _relative(R[2:] - target_r, R[2:], target_r), p)
         if depth >= 2:
             for name, r in zip(flatness, _flatness_residual(jets)):
                 w.update(name, r, p)
@@ -291,7 +299,7 @@ def check_constant_curvature(g, K, points, tol=DEFAULT_TOL):
     pts = np.atleast_2d(np.asarray(points))
     R = geometry_jet(g, pts).riemann_upup
     w = _Worst()
-    w.update("constant_curvature", _abs_max(R - pattern) / (1.0 + abs(K)), pts)
+    w.update("constant_curvature", _relative(R - pattern, K), pts)
     return CheckResult(w.res["constant_curvature"] < tol, w.res, w.wit)
 
 
@@ -351,10 +359,10 @@ def dubrovin_construct_and_check(eta, f, c, points, tol=DEFAULT_TOL,
     G1 = g1.values(pts)
     mixed = (np.einsum("...is,jp,...ksp->...ijk", G1, eta_up, H)
              - np.einsum("is,...jp,...ksp->...ijk", eta_up, G1, H))
-    scale = 1.0 + np.maximum(_abs_max(D) ** 2, _abs_max(G1))
+    refs = (_abs_max(D) ** 2, G1)
     w = _Worst()
-    w.update("quadratic", _abs_max(quad) / scale, pts)
-    w.update("mixed", _abs_max(mixed) / scale, pts)
+    w.update("quadratic", _relative(quad, *refs), pts)
+    w.update("mixed", _relative(mixed, *refs), pts)
 
     if lambda_samples is None:
         lambda_samples = default_lambda_samples()
@@ -394,18 +402,16 @@ def mokhov_bracket_metric(eta, h, points, tol=DEFAULT_TOL):
     # Connection-level check only: the pencil member lambda1*eta + lambda2*g2
     # must have Christoffel symbols -lambda2 * b (eta contributes none).
     samples = [(1.0, 0.5), (1.0, -0.5), (2.0, 0.25)]
-    members = PencilMembers(g1, g2, samples)
+    # a member degenerate at a point sits on a pencil eigenvalue: drop it
+    bad = degenerate(PencilMembers(g1, g2, samples).entry_jets(pts, 0)[0])[0]
     w = _Worst()
-    for p, b in zip(pts, b_at(pts)):
-        # a member degenerate at p sits on a pencil eigenvalue: drop it
-        V = members.entry_jets(p, 0)[0]
-        kept = [lam for lam, bad in zip(samples, degenerate(V)[0]) if not bad]
+    for p, b, drop in zip(pts, b_at(pts), bad.T):
+        kept = [lam for lam, d in zip(samples, drop) if not d]
         if not kept:
             raise DegenerateMetric(p, 0.0, context="all pencil samples")
         gc = geometry_jet(PencilMembers(g1, g2, kept), p).gamma_contra
         l2 = np.array([l for _, l in kept], dtype=complex)[:, None, None, None]
-        scale = 1.0 + np.maximum(_abs_max(b, 0), _abs_max(gc))
-        w.update("gamma_linearity", _abs_max(gc + l2 * b) / scale, p)
+        w.update("gamma_linearity", _relative(gc + l2 * b, b[None], gc), p)
     return g2, b_at, CheckResult(w.res["gamma_linearity"] < tol, w.res, w.wit)
 
 
@@ -418,5 +424,5 @@ def associativity_residual(eta, Phi, points):
     jet = Phi.eval_jet(np.atleast_2d(np.asarray(points)), 3)
     lhs = np.einsum("sp,...pi,...sjk->...ijk", eta_up, jet.hess, jet.third)
     res = lhs - np.einsum("...ijk->...kji", lhs)
-    scale = 1.0 + _abs_max(jet.hess) * _abs_max(jet.third)
-    return float(np.max(_abs_max(res) / scale))
+    size = _abs_max(jet.hess) * _abs_max(jet.third)
+    return float(np.max(_relative(res, size)))

@@ -14,7 +14,14 @@ from flatpencil.compat import (
     sample_points,
 )
 from flatpencil.expr import ScalarField
-from flatpencil.geometry import CONTRAVARIANT, MetricField
+from flatpencil.geometry import (
+    CONTRAVARIANT,
+    MetricField,
+    affinor_from_jets,
+    geometry_jet,
+    nijenhuis,
+    tensor_M_from_jets,
+)
 from flatpencil.lame import read_beta_grid
 
 
@@ -312,7 +319,62 @@ class TestDressingJob:
         assert np.all(np.isnan(beta[:, :, 1:]))
 
 
+def parent_identity_residuals(g1, g2, point, one_rule):
+    """The parent's identity_residuals, one geometry_jet per metric and a
+    loop over the two; with `one_rule` the connection residuals' scale is
+    1 + max(max|dg|, max|Gamma|) in place of the parent's sum."""
+    j1 = geometry_jet(g1, point)
+    j2 = geometry_jet(g2, point)
+    N = nijenhuis(affinor_from_jets(j1, j2))
+    M = tensor_M_from_jets(j1, j2)
+    lhs = np.einsum(
+        "sp,prq,ri,qj,sk->ijk", j1.g_down, N, j2.g_up, j2.g_up, j2.g_up
+    )
+    scale = 1.0 + max(np.max(np.abs(lhs)), np.max(np.abs(M)))
+    mn1 = lhs - (np.einsum("kji->ijk", M) + np.einsum("ikj->ijk", M) + M)
+    mn2 = 2 * (np.einsum("ikj->ijk", M) + M) - (
+        lhs + np.einsum("ikj->ijk", lhs))
+    mn3 = 2 * np.einsum("kji->ijk", M) - (lhs - np.einsum("ikj->ijk", lhs))
+    out = {f"mn{k}": np.max(np.abs(mn)) / scale
+           for k, mn in enumerate((mn1, mn2, mn3), 1)}
+    for tag, j in (("g1", j1), ("g2", j2)):
+        dg, gc = np.max(np.abs(j.dg_up)), np.max(np.abs(j.gamma_contra))
+        sc = 1.0 + (max(dg, gc) if one_rule else dg + gc)
+        comp = (np.einsum("kij->ijk", j.dg_up) + j.gamma_contra
+                + np.einsum("jik->ijk", j.gamma_contra))
+        symm = (np.einsum("is,jks->ijk", j.g_up, j.gamma_contra)
+                - np.einsum("js,iks->ijk", j.g_up, j.gamma_contra))
+        scr = 1.0 + np.max(np.abs(j.riemann_upup))
+        anti_kl = j.riemann_upup + np.einsum("ijkl->ijlk", j.riemann_upup)
+        anti_ij = j.riemann_upup + np.einsum("ijkl->jikl", j.riemann_upup)
+        out[f"ch1_{tag}"] = np.max(np.abs(comp)) / sc
+        out[f"ch2_{tag}"] = np.max(np.abs(symm)) / sc
+        out[f"curv_antisym_kl_{tag}"] = np.max(np.abs(anti_kl)) / scr
+        out[f"curv_antisym_ij_{tag}"] = np.max(np.abs(anti_ij)) / scr
+    return {k: float(v).hex() for k, v in out.items()}
+
+
 class TestIdentities:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_member_axis_equals_per_metric_parent(self, dim):
+        # g1 and g2 share one geometry evaluation; only the connection
+        # residuals move, from the parent's sum scale to the one rule
+        rng = np.random.default_rng(dim)
+        for _ in range(3):
+            g1 = cli._random_poly_metric(rng, dim)
+            g2 = cli._random_poly_metric(rng, dim)
+            point = rng.uniform(0.2, 1.0, size=dim)
+            got = {k: v.hex()
+                   for k, v in cli.identity_residuals(g1, g2, point).items()}
+            assert got == parent_identity_residuals(g1, g2, point, True)
+            parent = parent_identity_residuals(g1, g2, point, False)
+            for k in got:
+                if k.startswith("ch"):  # a smaller scale: never below
+                    assert float.fromhex(got[k]) >= float.fromhex(parent[k])
+                else:
+                    assert got[k] == parent[k]
+            assert got["ch1_g1"] != parent["ch1_g1"]
+
     def test_report_deterministic_for_seed(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

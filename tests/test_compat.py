@@ -4,9 +4,10 @@ flat-coordinate constructions."""
 import numpy as np
 import pytest
 
-from flatpencil import compat, expr, geometry
+from flatpencil import cli, compat, expr, geometry
 from flatpencil.compat import (
     _Worst,
+    CheckResult,
     MetricPair,
     associativity_residual,
     check_almost_compatible,
@@ -34,7 +35,11 @@ from flatpencil.geometry import (
     tensor_M_from_jets,
 )
 from flatpencil.lame import LameData, assemble_pair
-from flatpencil.twocomp import TwoCompModel, assemble_two_metrics
+from flatpencil.twocomp import (
+    TwoCompModel,
+    assemble_two_metrics,
+    constant_curvature_pencil,
+)
 
 PTS = sample_points(2, 8, seed=11, lo=0.3, hi=1.8)
 EYE2 = MetricField.from_constant(np.eye(2))
@@ -196,6 +201,27 @@ def jets_equal(a, b):
                for k in GeometryJet.__dataclass_fields__)
 
 
+def parent_mokhov_fallback(eta, g2, b_at, pts):
+    """The parent's connection-level fallback of mokhov_bracket_metric, one
+    geometry_jet per member built as an expression; returns the residuals
+    and the (u1, l2) of each member skipped as degenerate."""
+    g1 = MetricField.from_constant(np.linalg.inv(eta))
+    ref = _Worst()
+    skipped = []
+    for p, b in zip(pts, b_at(pts)):
+        for l1, l2 in [(1.0, 0.5), (1.0, -0.5), (2.0, 0.25)]:
+            try:
+                jc = geometry_jet(linear_combination(l1, g1, l2, g2), p)
+            except DegenerateMetric:
+                skipped.append((p[0], l2))
+                continue
+            scale = 1.0 + max(np.max(np.abs(b)),
+                              np.max(np.abs(jc.gamma_contra)))
+            ref.update("gamma_linearity",
+                       np.max(np.abs(jc.gamma_contra + l2 * b)) / scale, p)
+    return ref, skipped
+
+
 class TestMembersByLinearity:
     def test_member_jet_equals_expression_route_bit_for_bit(self):
         g1, g2 = nondiagonal_3d_pair()
@@ -222,31 +248,27 @@ class TestMembersByLinearity:
         pts = np.vstack([[[0.0, 0.0]], PTS, [[1.0, 0.5]]])
         g2, b_at, r = mokhov_bracket_metric(eta, h, pts)
         assert set(r.max_residuals) == {"gamma_linearity"}
-        g1 = MetricField.from_constant(np.linalg.inv(eta))
-        ref = _Worst()
-        skipped = []
-        for p, b in zip(pts, b_at(pts)):
-            assert np.max(np.abs(b)) >= 2.0  # d_2 d_2 h^2 = 2
-            for l1, l2 in [(1.0, 0.5), (1.0, -0.5), (2.0, 0.25)]:
-                try:
-                    jc = geometry_jet(linear_combination(l1, g1, l2, g2), p)
-                except DegenerateMetric:
-                    skipped.append((p[0], l2))
-                    continue
-                scale = 1.0 + max(np.max(np.abs(b)),
-                                  np.max(np.abs(jc.gamma_contra)))
-                ref.update("gamma_linearity",
-                           np.max(np.abs(jc.gamma_contra + l2 * b)) / scale,
-                           p)
+        assert all(np.max(np.abs(b)) >= 2.0  # d_2 d_2 h^2 = 2
+                   for b in b_at(pts))
+        ref, skipped = parent_mokhov_fallback(eta, g2, b_at, pts)
         assert skipped == [(1.0, -0.5)]
         assert r.max_residuals == ref.res
         assert np.array_equal(r.witnesses["gamma_linearity"],
                               ref.wit["gamma_linearity"])
 
 
+def parent_flatness(j):
+    """The parent's _flatness_residual, per point."""
+    lead = j.point.ndim - 1
+    scale = 1.0 + np.maximum(compat._abs_max(j.g_up, lead),
+                             compat._abs_max(j.gamma_contra, lead))
+    return compat._abs_max(j.riemann_upup, lead) / scale
+
+
 def per_member_reference(pair, depth):
     """The sweep of _pass with one geometry_jet per metric and per member,
-    each member built as an expression, and scales from Python's max."""
+    each member built as an expression, and the parent's scales, from
+    Python's max."""
     g1, g2 = pair.g1, pair.g2
     lambdas = pair.lambda_samples if depth >= 1 else []
     w = _Worst()
@@ -276,8 +298,7 @@ def per_member_reference(pair, depth):
                      np.max(np.abs(jc.riemann_upup - target_r)) / sr, p)
         if depth >= 2:
             for (l1, l2), j in jets:
-                w.update(f"flatness({l1},{l2})", compat._flatness_residual(j),
-                         p)
+                w.update(f"flatness({l1},{l2})", parent_flatness(j), p)
         if depth >= 3:
             nonsingular = nonsingular and roots_and_gap(aff.v)[1] > 1e-6
     return w, nonsingular
@@ -577,6 +598,19 @@ class TestBracketMetric:
             mokhov_bracket_metric(eta, h, pts)
         assert np.array_equal(e.value.point, pts[1])
 
+    def test_fallback_evaluates_g2_once_per_point(self, count_calls):
+        # g2 is degenerate at the origin, the first point, so the full check
+        # raises there after one order-2 evaluation of g2's 3 entries; the
+        # fallback then evaluates them once at order 0 over all points (the
+        # degeneracy masks), h's Hessians once (b), and g2's entries at
+        # order 2 once per point for the kept members' geometry
+        calls = count_calls(expr.ScalarField, "eval_jet")
+        eta = np.array([[0.0, 1.0], [1.0, 0.0]])
+        h = [expr.parse("u1^2*u2", 2), expr.parse("u2^2", 2)]
+        pts = np.vstack([[[0.0, 0.0]], PTS, [[1.0, 0.5]]])
+        mokhov_bracket_metric(eta, h, pts)
+        assert len(calls) == 3 + 3 + 2 + 3 * len(pts)
+
     def test_random_h_matches_direct_check(self):
         eta = np.eye(2)
         h = [expr.parse("u1^2+u2", 2), expr.parse("u1+u2^3", 2)]
@@ -601,6 +635,165 @@ class TestAssociativity:
         eta = np.eye(2)
         phi = expr.parse("u1^3 + u2^4 + u1*u2", 2)
         assert associativity_residual(eta, phi, PTS) > 1e-3
+
+
+def parent_constant_curvature(g, K, pts):
+    """The parent's check_constant_curvature residual, per point."""
+    eye = np.eye(g.dim)
+    pattern = K * (
+        np.einsum("il,jk->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
+    )
+    R = geometry_jet(g, pts).riemann_upup
+    return compat._abs_max(R - pattern) / (1.0 + abs(K))
+
+
+def parent_dubrovin(eta, f, c, pts):
+    """The parent's quadratic and mixed residuals of
+    dubrovin_construct_and_check."""
+    eta_up = compat._eta_up(eta)
+    H, D = compat._bracket_hessians(eta_up, f, pts)
+    quad = (np.einsum("...ijs,...skl->...ijkl", D, D)
+            - np.einsum("...iks,...sjl->...ijkl", D, D))
+    G1 = compat._bracket_metric(eta_up, f, c).values(pts)
+    mixed = (np.einsum("...is,jp,...ksp->...ijk", G1, eta_up, H)
+             - np.einsum("is,...jp,...ksp->...ijk", eta_up, G1, H))
+    scale = 1.0 + np.maximum(compat._abs_max(D) ** 2, compat._abs_max(G1))
+    w = _Worst()
+    w.update("quadratic", compat._abs_max(quad) / scale, pts)
+    w.update("mixed", compat._abs_max(mixed) / scale, pts)
+    return w
+
+
+def parent_associativity(eta, Phi, pts):
+    """The parent's associativity_residual."""
+    jet = Phi.eval_jet(pts, 3)
+    lhs = np.einsum("sp,...pi,...sjk->...ijk", compat._eta_up(eta), jet.hess,
+                    jet.third)
+    res = lhs - np.einsum("...ijk->...kji", lhs)
+    scale = 1.0 + compat._abs_max(jet.hess) * compat._abs_max(jet.third)
+    return float(np.max(compat._abs_max(res) / scale))
+
+
+PHI_CUBIC = expr.parse("(u1^3 + 3*u1*u2^2)/6", 2)
+LAMBDAS = [(0.4 - 1.3j, 0.7 + 0.2j), (1.0, 0.5j), (2.0, 3.0)]
+DUBROVIN_FIELDS = [
+    ([expr.parse("2*u1+u2", 2), expr.parse("u1-u2", 2)], 3.0),
+    ([PHI_CUBIC.partial(0), PHI_CUBIC.partial(1)], 4.0),
+    ([expr.parse("u1^2*u2", 2), expr.parse("u2^3", 2)], 6.0),
+]
+
+
+class TestOneScaleRule:
+    """compat._relative is the one residual scale: every site gives the bits
+    of the parent's hand-written formula (the references above and
+    per_member_reference, parent_flatness, parent_mokhov_fallback)."""
+
+    @pytest.mark.parametrize("make", [lame_3d_pair, nondiagonal_3d_pair])
+    def test_pair_sites(self, make):
+        g1, g2 = make()
+        pair = MetricPair(g1, g2, sample_points(3, 6, seed=3, lo=0.4, hi=1.2),
+                          LAMBDAS)
+        res = full_report(pair).max_residuals
+        assert len(res) == 9
+        assert same_bits(res, per_member_reference(pair, 3)[0].res)
+
+    @pytest.mark.parametrize("K", [1.0, -0.5])
+    def test_curvature_sites(self, K):
+        pts = sample_points(2, 6, seed=2, min_sep=0.2)
+        metrics, r = constant_curvature_pencil(K, pts)
+        ref = _Worst()
+        for n in range(3):
+            ref.update(f"flatness_G{n}",
+                       parent_flatness(geometry_jet(metrics[n], pts)), pts)
+        ref.update("curvature_G3",
+                   parent_constant_curvature(metrics[3], K, pts), pts)
+        assert same_bits(r.max_residuals, ref.res)
+        wrong = check_constant_curvature(SPHERE, 2 * K, PTS).max_residuals
+        assert same_bits(wrong, {"constant_curvature": np.max(
+            parent_constant_curvature(SPHERE, 2 * K, PTS))})
+        assert wrong["constant_curvature"] > 0.1
+
+    @pytest.mark.parametrize("f, c", DUBROVIN_FIELDS)
+    def test_dubrovin_sites(self, f, c):
+        eta = np.eye(2)
+        g1, r = dubrovin_construct_and_check(eta, f, c, PTS)
+        ref = parent_dubrovin(eta, f, c, PTS).res
+        pair = MetricPair(g1, MetricField.from_constant(np.linalg.inv(eta)),
+                          PTS)
+        ref.update(per_member_reference(pair, 2)[0].res)
+        assert same_bits(r.max_residuals, ref)
+
+    def test_mokhov_sites_on_both_routes(self):
+        # full route: g2 and its sampled members are nondegenerate
+        h = [expr.parse("u1^2+u2", 2), expr.parse("u1+u2^3", 2)]
+        g2, _, r = mokhov_bracket_metric(np.eye(2), h, PTS)
+        ref = per_member_reference(MetricPair(EYE2, g2, PTS), 1)[0].res
+        assert len(ref) == 4 and same_bits(r.max_residuals, ref)
+        # fallback: g2 is degenerate at the origin
+        eta = np.array([[0.0, 1.0], [1.0, 0.0]])
+        h = [expr.parse("u1^2*u2", 2), expr.parse("u2^2", 2)]
+        pts = np.vstack([[[0.0, 0.0]], PTS, [[1.0, 0.5]]])
+        g2, b_at, r = mokhov_bracket_metric(eta, h, pts)
+        ref = parent_mokhov_fallback(eta, g2, b_at, pts)[0].res
+        assert same_bits(r.max_residuals, ref)
+        assert r.max_residuals["gamma_linearity"] > 0.1
+
+    @pytest.mark.parametrize("phi", [PHI_CUBIC,
+                                     expr.parse("u1^3 + u2^4 + u1*u2", 2)])
+    def test_associativity_site(self, phi):
+        got = associativity_residual(np.eye(2), phi, PTS)
+        assert got.hex() == parent_associativity(np.eye(2), phi, PTS).hex()
+
+    def test_nan_rule_fails_every_verdict(self, monkeypatch):
+        # with the one rule answering NaN, a site that computed its own
+        # scale would still pass
+        pair = MetricPair(*lame_3d_pair(),
+                          sample_points(3, 4, seed=3, lo=0.4, hi=1.2), LAMBDAS)
+        pts = sample_points(2, 4, seed=2, min_sep=0.2)
+        f, c = DUBROVIN_FIELDS[0]
+
+        def report():
+            # almost_compatible false makes the nested verdicts false
+            r = full_report(pair)
+            assert r.flat_pencil == r.almost_compatible
+            return CheckResult(r.almost_compatible, r.max_residuals, {})
+
+        checks = [
+            report,
+            lambda: check_almost_compatible(pair),
+            lambda: check_compatible(pair),
+            lambda: check_flat_pencil(pair),
+            lambda: check_constant_curvature(SPHERE, 1.0, PTS),
+            lambda: constant_curvature_pencil(1.0, pts)[1],
+            lambda: dubrovin_construct_and_check(np.eye(2), f, c, PTS)[1],
+            lambda: mokhov_bracket_metric(
+                np.eye(2), [expr.parse("u1", 2), expr.parse("u2", 2)],
+                PTS)[2],
+            lambda: mokhov_bracket_metric(
+                np.eye(2), [expr.parse("u1", 2), expr.parse("0", 2)],
+                PTS)[2],
+        ]
+
+        def outcomes():
+            identities = cli.run_identities(4, 1)
+            return ([(r.passed, list(r.max_residuals.values()))
+                     for r in (check() for check in checks)]
+                    + [(associativity_residual(np.eye(2), PHI_CUBIC, PTS)
+                        < 1e-8, [])]
+                    + [(identities["all_below_1e-8"],
+                        list(identities["max_relative_residuals"].values()))])
+
+        assert all(passed for passed, _ in outcomes())
+
+        def nan_rule(res, *refs, lead=1):
+            return np.full(np.shape(compat._abs_max(res, lead)), np.nan)
+
+        monkeypatch.setattr(compat, "_relative", nan_rule)
+        monkeypatch.setattr(cli, "_relative", nan_rule)
+        for passed, residuals in outcomes():
+            assert not passed
+            assert all(np.isnan(v) for v in residuals)
+        assert np.isnan(associativity_residual(np.eye(2), PHI_CUBIC, PTS))
 
 
 class TestWorstResidual:
