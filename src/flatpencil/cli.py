@@ -351,9 +351,12 @@ def identity_residuals(g1, g2, point):
     """Relative residuals of the structural identities at one point.
 
     Covers: the three contractions relating g1-lowered Nijenhuis components
-    to sums of M-tensor permutations; metric-compatibility and symmetry of
-    each Levi-Civita connection in contravariant form; curvature
-    antisymmetries.
+    to sums of M-tensor permutations (mn1-mn3); metric-compatibility (ch1)
+    and symmetry (ch2) of each Levi-Civita connection in contravariant
+    form; curvature antisymmetries.  The contravariant kernel solves for
+    ch1 and ch2 and antisymmetrizes R^{ij}_{kl} in (k, l), so those three
+    hold by construction (kl exactly); mn1-mn3 and the (i, j)-antisymmetry
+    stay independent checks of it.
     """
     jets = geometry_jet(PencilMembers(g1, g2, [], ends=True), point)
     j1, j2 = jets[0], jets[1]

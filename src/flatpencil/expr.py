@@ -911,9 +911,9 @@ def embed(f, index, dim):
 
 
 def _format_complex(c):
-    if c.imag == 0:
+    if c.imag == 0:  # an integer only when exact; inf and nan stay floats
         r = c.real
-        return str(int(r)) if r == int(r) else repr(r)
+        return str(int(r)) if r.is_integer() and abs(r) < 2**53 else repr(r)
     return f"({c.real}+{c.imag}i)"
 
 

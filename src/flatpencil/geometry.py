@@ -1,11 +1,11 @@
 """Pointwise tensor objects of a metric or a metric pair.
 
 Everything here is a pure function of immutable field inputs at a point (n,)
-or a batch (..., n), whose axes lead every output: inverse, both Christoffel
-index positions and curvature of a metric; affinor, Nijenhuis and M tensors
-of a pair; pencil eigenvalues, at one point only.  A metric source may add
-axes of its own ahead of the point's, such as the member axis of
-`PencilMembers`.
+or a batch (..., n), whose axes lead every output: inverse, Christoffel
+symbols and curvature of a metric, from g^{ij} in contravariant form, in both
+index positions; affinor, Nijenhuis and M tensors of a pair; pencil
+eigenvalues, at one point only.  A metric source may add axes of its own
+ahead of the point's, such as the member axis of `PencilMembers`.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ class MetricField:
     def from_constant(matrix, variance=CONTRAVARIANT):
         m = np.asarray(matrix, dtype=complex)
         n = m.shape[0]
+        if not np.isfinite(m).all():
+            raise ValueError("constant metric entries must be finite")
         if not np.array_equal(m, m.T):
             raise ValueError("constant metric must be symmetric")
         upper = {
@@ -175,13 +177,11 @@ class GeometryJet:
     g_up: np.ndarray          # g^{ij}
     g_down: np.ndarray        # g_{ij}
     dg_up: np.ndarray         # [k,i,j] = d g^{ij} / d u^k
-    d2g_up: np.ndarray        # [k,l,i,j]
-    dg_down: np.ndarray
-    d2g_down: np.ndarray
+    dg_down: np.ndarray       # [k,i,j] = d g_{ij} / d u^k
     gamma_mixed: np.ndarray   # [i,j,k] = Gamma^i_{jk}
-    gamma_contra: np.ndarray  # [i,j,k] = Gamma^{ij}_k
+    gamma_contra: np.ndarray  # [i,j,k] = Gamma^{ij}_k = g^{is} Gamma^j_{sk}
     riemann_mixed: np.ndarray  # [i,j,k,l] = R^i_{jkl}
-    riemann_upup: np.ndarray   # [i,j,k,l] = R^{ij}_{kl}
+    riemann_upup: np.ndarray   # [i,j,k,l] = R^{ij}_{kl} = g^{is} R^j_{skl}
 
     def __getitem__(self, k):
         """The jet at batch index k (a member or a point) of a batched jet."""
@@ -220,62 +220,56 @@ def _checked_inverse(V, point):
     return np.linalg.inv(V)
 
 
+def _product_jet(a, da, b, db):
+    """a @ b over b's first axis, a (..., n, n) and b (..., n, n, n), and its
+    partials d_m a @ b + a @ d_m b, with m leading the axes of da and db."""
+    flat = lambda x: x.reshape(x.shape[:-2] + (-1,))
+    fb = flat(b)
+    dab = da @ fb[..., None, :, :] + a[..., None, :, :] @ flat(db)
+    return (a @ fb).reshape(b.shape), dab.reshape(db.shape)
+
+
 def _geometry_from_entries(V, d, d2, variance, point):
-    """GeometryJet at `point` (n,) or (..., n) from order-2 entry jets."""
+    """GeometryJet at `point` (n,) or (..., n) from order-2 entry jets.
+
+    Contravariant: with A^{kij} = g^{kt} d_t g^{ij}, the one solution of
+    metric compatibility and symmetry is c^{kij} = g^{kt} Gamma^{ij}_t =
+    -(A^{kij} + A^{ikj} - A^{jki}) / 2, and R^{ij}_{kl} = g^{is} R^j_{skl}
+    = X^{ij}_{kl} - X^{ij}_{lk}, X^{ij}_{kl} = d_k Gamma^{ij}_l +
+    Gamma^i_{sk} Gamma^{sj}_l (compatibility cancels the terms symmetric
+    in (k, l)); a covariant V is inverted to contravariant jets first.
+    """
     W = _checked_inverse(V, point)
     # d_k W = -W d_k V W and d_l d_k W, with k (and l) as matmul batch axes
-    Wk, dk = W[..., None, :, :], d[..., :, None, :, :]
+    Wk = W[..., None, :, :]
     dW = -Wk @ d @ Wk
-    Wkl, dWl = Wk[..., None, :, :], dW[..., None, :, :, :]
-    d2W = -(dWl @ dk @ Wkl + Wkl @ d2 @ Wkl + Wkl @ dk @ dWl)
     if variance == CONTRAVARIANT:
-        up, dup, d2up, down, ddown, d2down = V, d, d2, W, dW, d2W
+        up, dup, d2up, down, ddown = V, d, d2, W, dW
     else:
-        up, dup, d2up, down, ddown, d2down = W, dW, d2W, V, d, d2
+        dk, Wkl = d[..., :, None, :, :], Wk[..., None, :, :]
+        dWl = dW[..., None, :, :, :]
+        d2W = -(dWl @ dk @ Wkl + Wkl @ d2 @ Wkl + Wkl @ dk @ dWl)
+        up, dup, d2up, down, ddown = W, dW, d2W, V, d
 
-    # Gamma^i_{jk} = 1/2 g^{is} (d_j g_{sk} + d_k g_{js} - d_s g_{jk})
-    # ddown[k,i,j] = d_k g_{ij}
-    bracket = (
-        np.einsum("...jsk->...sjk", ddown)
-        + np.einsum("...kjs->...sjk", ddown)
-        - ddown
-    )
-    gamma_mixed = 0.5 * np.einsum("...is,...sjk->...ijk", up, bracket)
-
-    # d_m Gamma^i_{jk}
-    dbracket = (
-        np.einsum("...mjsk->...msjk", d2down)
-        + np.einsum("...mkjs->...msjk", d2down)
-        - d2down
-    )
-    dgamma = 0.5 * (
-        np.einsum("...mis,...sjk->...mijk", dup, bracket)
-        + np.einsum("...is,...msjk->...mijk", up, dbracket)
-    )
-
-    # R^i_{jkl} = d_k Gamma^i_{jl} - d_l Gamma^i_{jk}
-    #           + Gamma^i_{pk} Gamma^p_{jl} - Gamma^i_{pl} Gamma^p_{jk}
-    riemann_mixed = (
-        np.einsum("...kijl->...ijkl", dgamma)
-        - np.einsum("...lijk->...ijkl", dgamma)
-        + np.einsum("...ipk,...pjl->...ijkl", gamma_mixed, gamma_mixed)
-        - np.einsum("...ipl,...pjk->...ijkl", gamma_mixed, gamma_mixed)
-    )
-
-    gamma_contra = np.einsum("...is,...jsk->...ijk", up, gamma_mixed)
-    riemann_upup = np.einsum("...is,...jskl->...ijkl", up, riemann_mixed)
+    A, dA = _product_jet(up, dup, dup, d2up)
+    # c[k,i,j] = -(A[k,i,j] + A[i,k,j] - A[j,k,i]) / 2, and its partials
+    c, dc = [-0.5 * (x + np.swapaxes(x, -3, -2)
+                     - np.einsum("...jki->...kij", x)) for x in (A, dA)]
+    G, dG = _product_jet(down, ddown, c, dc)  # [t,i,j] = Gamma^{ij}_t
+    gamma_mixed = np.einsum("...js,...ksi->...ijk", down, G)
+    X = (np.einsum("...klij->...ijkl", dG)
+         + np.einsum("...isk,...lsj->...ijkl", gamma_mixed, G))
+    riemann_upup = X - np.swapaxes(X, -2, -1)
 
     return GeometryJet(
         point=np.asarray(point, dtype=complex),
         g_up=up,
         g_down=down,
         dg_up=dup,
-        d2g_up=d2up,
         dg_down=ddown,
-        d2g_down=d2down,
         gamma_mixed=gamma_mixed,
-        gamma_contra=gamma_contra,
-        riemann_mixed=riemann_mixed,
+        gamma_contra=np.einsum("...kij->...ijk", G),
+        riemann_mixed=np.einsum("...js,...sikl->...ijkl", down, riemann_upup),
         riemann_upup=riemann_upup,
     )
 
@@ -283,12 +277,13 @@ def _geometry_from_entries(V, d, d2, variance, point):
 def geometry_jet(g, point):
     """Metric inverse, Christoffel symbols and curvature at a point or batch.
 
-    The Levi-Civita connection comes from the covariant entries; curvature
-    needs second metric derivatives, supplied exactly by the jets.  `g` is
-    any source with `dim`, `variance` and `entry_jets(point, order)`, such
-    as a MetricField or PencilMembers; `point` is broadcast over the axes
-    the source adds ahead of its own, so `GeometryJet.point` and a
-    DegenerateMetric name a point per member.
+    Gamma^{ij}_k and R^{ij}_{kl} come from the exact contravariant entry
+    jets and the first partials of the inverse, with no second partials of
+    it (`_geometry_from_entries`).  `g` is any source with `dim`,
+    `variance` and `entry_jets(point, order)`, such as a MetricField or
+    PencilMembers; `point` is broadcast over the axes the source adds
+    ahead of its own, so `GeometryJet.point` and a DegenerateMetric name a
+    point per member.
     """
     pt = np.asarray(point, dtype=complex)
     V, d, d2 = g.entry_jets(pt, 2)

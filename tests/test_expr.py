@@ -7,6 +7,7 @@ import pytest
 
 from flatpencil import expr
 from flatpencil.errors import ArityError, DomainError, ParseError
+from flatpencil.geometry import MetricField
 
 
 def fd_grad(f, p, h=1e-6):
@@ -340,6 +341,26 @@ class TestDerivedFields:
             x ** 0.5
         with pytest.raises(ArityError):
             expr.variable(2, 2)
+
+    @pytest.mark.parametrize("value, text", [
+        (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan")])
+    def test_nonfinite_constant_fails_at_evaluation(self, value, text):
+        # the literal builds, keeps its float text and fails closed when
+        # evaluated, whether alone or as a metric entry
+        f = expr.constant(value, 2)
+        assert f.source_text == text
+        with pytest.raises(DomainError, match="non-finite"):
+            f.eval_jet(np.array([0.5, 0.5]), 1)
+        g = MetricField.diagonal([f, expr.constant(1.0, 2)])
+        with pytest.raises(DomainError, match="non-finite"):
+            g.entry_jets(np.array([0.5, 0.5]), 2)
+
+    def test_constant_text_is_an_integer_only_when_exact(self):
+        text = lambda c: expr.constant(c, 1).source_text
+        assert text(1e300) == "1e+300"
+        assert text(2.0**53) == "9007199254740992.0"
+        assert text(2.0**53 - 1) == "9007199254740991"
+        assert [text(-3.0), text(-0.0), text(0.5)] == ["-3", "0", "0.5"]
 
     def test_function_wrappers(self):
         x = expr.variable(0, 1)

@@ -13,6 +13,7 @@ from flatpencil.geometry import (
     COVARIANT,
     GeometryJet,
     MetricField,
+    PencilMembers,
     affinor_at,
     degenerate,
     geometry_jet,
@@ -77,6 +78,11 @@ class TestMetricField:
         with pytest.raises(ValueError):
             MetricField.from_constant([[1.0, 2.0], [3.0, 1.0]])
 
+    def test_constant_metric_must_be_finite(self):
+        # NaN != NaN, so the symmetry check alone would misreport it
+        with pytest.raises(ValueError, match="must be finite"):
+            MetricField.from_constant([[np.nan, 0.0], [0.0, 1.0]])
+
     def test_degenerate_raises(self):
         g = MetricField.diagonal([expr.parse("u1", 2), expr.parse("1", 2)])
         with pytest.raises(DegenerateMetric):
@@ -140,6 +146,89 @@ class TestChristoffelAndCurvature:
         j_down = geometry_jet(polar_covariant(), [2.0, 0.7])
         assert j_up.gamma_mixed == pytest.approx(j_down.gamma_mixed)
         assert j_up.g_down == pytest.approx(j_down.g_down)
+
+
+def parent_geometry(V, d, d2, variance):
+    """The covariant route, kept as an independent reference: differentiate
+    the inverse twice, take Gamma^i_{jk} from the covariant partials and
+    raise the indices of Gamma and R."""
+    W = np.linalg.inv(V)
+    Wk, dk = W[..., None, :, :], d[..., :, None, :, :]
+    dW = -Wk @ d @ Wk
+    Wkl, dWl = Wk[..., None, :, :], dW[..., None, :, :, :]
+    d2W = -(dWl @ dk @ Wkl + Wkl @ d2 @ Wkl + Wkl @ dk @ dWl)
+    if variance == CONTRAVARIANT:
+        up, dup, down, ddown, d2down = V, d, W, dW, d2W
+    else:
+        up, dup, down, ddown, d2down = W, dW, V, d, d2
+    bracket = (np.einsum("...jsk->...sjk", ddown)
+               + np.einsum("...kjs->...sjk", ddown) - ddown)
+    gamma_mixed = 0.5 * np.einsum("...is,...sjk->...ijk", up, bracket)
+    dbracket = (np.einsum("...mjsk->...msjk", d2down)
+                + np.einsum("...mkjs->...msjk", d2down) - d2down)
+    dgamma = 0.5 * (np.einsum("...mis,...sjk->...mijk", dup, bracket)
+                    + np.einsum("...is,...msjk->...mijk", up, dbracket))
+    riemann_mixed = (
+        np.einsum("...kijl->...ijkl", dgamma)
+        - np.einsum("...lijk->...ijkl", dgamma)
+        + np.einsum("...ipk,...pjl->...ijkl", gamma_mixed, gamma_mixed)
+        - np.einsum("...ipl,...pjk->...ijkl", gamma_mixed, gamma_mixed))
+    return {
+        "g_down": down, "dg_down": ddown, "gamma_mixed": gamma_mixed,
+        "gamma_contra": np.einsum("...is,...jsk->...ijk", up, gamma_mixed),
+        "riemann_mixed": riemann_mixed,
+        "riemann_upup": np.einsum("...is,...jskl->...ijkl", up,
+                                  riemann_mixed)}
+
+
+def exp_2d(shift=0.0):
+    """A 2-D contravariant metric with exponential, non-diagonal entries."""
+    e = lambda text: expr.parse(text, 2)
+    return MetricField.from_upper(
+        {(0, 0): e(f"{2 + shift}+exp(u1*u2)"), (0, 1): e("exp(-u1)/4"),
+         (1, 1): e(f"exp(u2/{2 + shift})+u1^2")}, CONTRAVARIANT)
+
+
+def complex_members(make):
+    return PencilMembers(make(), make(shift=1.5),
+                         [(0.4 - 1.3j, 0.7 + 0.2j), (1.0, 0.5j), (2.0, 3.0)],
+                         ends=True)
+
+
+class TestContravariantKernel:
+    """The contravariant kernel against the covariant route: every tensor
+    within 1e-12 of its largest entry, or of 1 where that is smaller (the
+    polar metric is flat, R = 0 up to rounding)."""
+
+    @pytest.mark.parametrize("source", [
+        polar_covariant(), nondiagonal_3d(), exp_2d(),
+        complex_members(exp_2d), complex_members(nondiagonal_3d)])
+    def test_matches_covariant_route(self, source):
+        pts = points(source.dim)
+        got = geometry_jet(source, pts)
+        ref = parent_geometry(*source.entry_jets(pts, 2), source.variance)
+        assert got.riemann_upup.shape[:-4] == (
+            (5, 4) if isinstance(source, PencilMembers) else (4,))
+        for name, want in ref.items():
+            err = np.max(np.abs(getattr(got, name) - want))
+            assert err <= 1e-12 * max(np.max(np.abs(want)), 1.0), name
+        # (k, l)-antisymmetry holds by construction, bit for bit
+        R = got.riemann_upup
+        assert not np.any(R + np.swapaxes(R, -2, -1))
+
+    @pytest.mark.parametrize("make", [exp_2d, nondiagonal_3d])
+    def test_member_batch_is_the_stack_of_point_calls(self, make):
+        source = complex_members(make)
+        pts = points(source.dim)
+        batch = geometry_jet(source, pts)
+        singles = [geometry_jet(source, p) for p in pts]
+        for f in fields(GeometryJet):
+            stack = np.stack([getattr(j, f.name) for j in singles], axis=1)
+            assert np.array_equal(getattr(batch, f.name), stack), f.name
+
+    def test_no_second_partials_of_the_inverse_are_kept(self):
+        names = {f.name for f in fields(GeometryJet)}
+        assert not {"d2g_up", "d2g_down"} & names
 
 
 class TestAffinorAndObstructions:
