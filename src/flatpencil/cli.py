@@ -14,6 +14,7 @@ antisymmetries.  The report is deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -35,7 +36,7 @@ from .compat import (
     sample_points,
 )
 from .errors import DegenerateMetric, FlatPencilError
-from .expr import parse
+from .expr import constant, exp, parse, variable
 from .geometry import (
     CONTRAVARIANT,
     MetricField,
@@ -329,21 +330,32 @@ def _run_dressing_job(job, manifest, seed, tol):
     return verdicts, residuals, {}
 
 
+def _coefficient(x, dim):
+    """x rounded to 6 decimals, as the literal "(%.6f)" parses: a negative
+    one is the negation of its absolute value."""
+    text = f"{x:.6f}"
+    c = constant(float(text.lstrip("-")), dim)
+    return -c if text.startswith("-") else c
+
+
 def _random_poly_metric(rng, dim):
-    """Random nondegenerate contravariant metric with bounded coefficients."""
+    """Random nondegenerate contravariant metric with bounded coefficients:
+    entries c0 + c1*u1 + ... + c_dim*u_dim + c*exp(u1/4), plus 2.5 on the
+    diagonal, built by field arithmetic."""
+    u = [variable(k, dim) for k in range(dim)]
+    tail = exp(u[0] / 4)
     upper = {}
-    monomials = [f"u{k+1}" for k in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            c = rng.uniform(-0.3, 0.3, size=dim + 2)
-            terms = [f"({c[0]:.6f})"]
-            terms += [
-                f"({c[k+1]:.6f})*{monomials[k]}" for k in range(dim)
-            ]
-            terms.append(f"({c[-1]:.6f})*exp(u1/4)")
+            c = [_coefficient(x, dim)
+                 for x in rng.uniform(-0.3, 0.3, size=dim + 2)]
+            entry = c[0]
+            for k in range(dim):
+                entry = entry + c[k + 1] * u[k]
+            entry = entry + c[-1] * tail
             if i == j:
-                terms.append("2.5")
-            upper[(i, j)] = parse("+".join(terms), dim)
+                entry = entry + 2.5
+            upper[(i, j)] = entry
     return MetricField.from_upper(upper, CONTRAVARIANT)
 
 
@@ -510,7 +522,9 @@ def _cmd_identities(args):
     return 0 if report["all_below_1e-8"] else 1
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="flatpencil",
         description="Compatibility checks for pencils of metrics",
@@ -524,16 +538,19 @@ def main(argv=None):
     run_p.add_argument("--parallel", action="store_true",
                        help="accepted for compatibility; has no effect")
     run_p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    run_p.set_defaults(func=_cmd_run)
 
     id_p = sub.add_parser("identities", help="random identity sweep")
     id_p.add_argument("--trials", type=int, default=100)
     id_p.add_argument("--seed", type=int, default=0)
     id_p.add_argument("--out", default=None)
-    id_p.set_defaults(func=_cmd_identities)
+    return ap
 
-    args = ap.parse_args(argv)
-    return args.func(args)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
+    # the command is looked up at call time, not bound into the parser
+    command = _cmd_run if args.command == "run" else _cmd_identities
+    return command(args)
 
 
 if __name__ == "__main__":

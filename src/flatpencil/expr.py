@@ -22,8 +22,15 @@ A constant subtree evaluates to a 0-d array of the evaluation's dtype, not
 to batch-sized arrays of zero derivatives: ``jet + c`` touches only the
 value and ``c * jet`` scales each slot.  Only a field that is constant as a
 whole becomes a constant jet.  The AST is immutable and may share subtrees
-(one node per variable, and ``partial()`` reuses the subtrees it
-differentiates); within one evaluation a shared subtree is evaluated once.
+(``partial()`` reuses the subtrees it differentiates); within one
+evaluation a shared subtree is evaluated once, and so is each coordinate,
+whichever nodes read it.
+
+A stacked field (``stack``) holds several fields as its entries, and one
+evaluation computes them all: the subtrees they share are evaluated once,
+and its slots carry the entry axis first.  A single field is the one-entry
+case of the same evaluator.  A DomainError names the entry that failed,
+and an overflow or NaN fails closed as one, never as a numpy warning.
 
 Inside an evaluation the derivative slots are derivative-major and packed
 (Taylor-mode propagation with the derivative index leading; Griewank and
@@ -43,7 +50,10 @@ Each entry is computed by the same operations, on the same operands in the
 same order, as on the full grid in a batch-first layout, so the results are
 the same bits.  ``eval_jet`` converts once, at its boundary: it returns
 fresh C-contiguous slots of the full shapes B, B+(n,), B+(n,n), ..., batch
-first.
+first (E+B, E+B+(n,), ... for a stack of E entries).
+
+A derived field's source text parses back: ``partial()`` writes its AST
+as expression text, with the grammar's precedence.
 """
 
 from __future__ import annotations
@@ -102,7 +112,12 @@ class Call:
     arg: "Node"
 
 
-Node = Union[Const, Var, BinOp, Neg, Pow, Call]
+@dataclass(frozen=True, slots=True)
+class Stack:
+    fields: tuple  # the ScalarFields of a stacked field; see stack()
+
+
+Node = Union[Const, Var, BinOp, Neg, Pow, Call, Stack]
 
 
 # Simplifying constructors used by symbolic differentiation; they fold
@@ -598,6 +613,8 @@ def _children(node):
         return (node.base,)
     if isinstance(node, (Neg, Call)):
         return (node.arg,)
+    if isinstance(node, Stack):
+        return tuple(f.ast for f in node.fields)
     return ()
 
 
@@ -605,15 +622,19 @@ def _structure(root):
     """(shared, real) of an AST, from one walk over it.
 
     shared is {id(node): number of uses} for the nodes that the AST uses
-    more than once (it is a DAG: parse shares variables, partial() shares
-    subtrees); real tells whether it is real-closed: no sqrt or ln node and
-    no literal with a nonzero imaginary part.
+    more than once (it is a DAG: partial() shares subtrees, and the entries
+    of a stack may share them); real tells whether it is real-closed: no
+    sqrt or ln node and no literal with a nonzero imaginary part.
+    Variables are left out: an evaluation builds one jet per coordinate
+    index, whichever node reads it.
     """
     uses = {}
     real = True
     stack = [root]
     while stack:
         node = stack.pop()
+        if isinstance(node, Var):
+            continue
         key = id(node)
         uses[key] = uses.get(key, 0) + 1
         if uses[key] == 1:
@@ -625,18 +646,37 @@ def _structure(root):
     return {key: n for key, n in uses.items() if n > 1}, real
 
 
-def _eval_node(node, point, order, memo, arith):
-    """Jet of `node` at `point`, or a 0-d array or numpy scalar of
-    ``arith.dtype`` if the subtree is constant.
+class _Evaluation:
+    """One eval_jet call: its point (as an array of the arithmetic's dtype),
+    order and arithmetic; ``memo`` maps the id of each shared node to [uses
+    left, result], and ``coords`` holds the jet of each coordinate index
+    read so far."""
 
-    ``memo`` maps the id of each shared node to [uses left, result], so a
-    shared subtree is evaluated once per evaluation and released at its
-    last use.  A constant starts as a 0-d array, as the value slot of a
-    single-point jet did.  In a batched evaluation it stays a 0-d array, so
-    that numpy computes it with its array loops, whose complex multiply
-    rounds unlike its scalar one.
+    __slots__ = ("point", "order", "arith", "memo", "coords")
+
+    def __init__(self, point, order, arith, shared):
+        self.point, self.order, self.arith = point, order, arith
+        self.memo = {key: [n, None] for key, n in shared.items()}
+        self.coords = {}
+
+
+def _eval_node(node, ev):
+    """Jet of `node` in the evaluation `ev`, or a 0-d array or numpy scalar
+    of ``ev.arith.dtype`` if the subtree is constant.
+
+    A shared subtree is evaluated once per evaluation and released at its
+    last use; a coordinate's jet is built once.  A constant starts as a 0-d
+    array, as the value slot of a single-point jet did.  In a batched
+    evaluation it stays a 0-d array, so that numpy computes it with its
+    array loops, whose complex multiply rounds unlike its scalar one.
     """
-    entry = memo.get(id(node))
+    if isinstance(node, Var):
+        out = ev.coords.get(node.index)
+        if out is None:
+            out = ev.coords[node.index] = Jet.variable(node.index, ev.point,
+                                                       ev.order)
+        return out
+    entry = ev.memo.get(id(node))
     if entry is not None and entry[1] is not None:
         out = entry[1]
         entry[0] -= 1
@@ -644,8 +684,8 @@ def _eval_node(node, point, order, memo, arith):
             entry[1] = None
         return out
     if isinstance(node, BinOp):
-        a = _eval_node(node.left, point, order, memo, arith)
-        b = _eval_node(node.right, point, order, memo, arith)
+        a = _eval_node(node.left, ev)
+        b = _eval_node(node.right, ev)
         if node.op == "+":
             out = a + b
         elif node.op == "-":
@@ -653,27 +693,40 @@ def _eval_node(node, point, order, memo, arith):
         elif node.op == "*":
             out = a * b
         else:
-            out = a * _reciprocal(b, arith)
+            out = a * _reciprocal(b, ev.arith)
     elif isinstance(node, Const):
-        out = np.array(arith.literal(node.value))
-    elif isinstance(node, Var):
-        out = Jet.variable(node.index, point, order)
+        out = np.array(ev.arith.literal(node.value))
     elif isinstance(node, Neg):
-        out = -_eval_node(node.arg, point, order, memo, arith)
+        out = -_eval_node(node.arg, ev)
     elif isinstance(node, Pow):
-        out = _power(_eval_node(node.base, point, order, memo, arith),
-                     node.exponent, arith)
+        out = _power(_eval_node(node.base, ev), node.exponent, ev.arith)
     elif isinstance(node, Call):
-        out = _call(node.func, _eval_node(node.arg, point, order, memo, arith),
-                    order)
+        out = _call(node.func, _eval_node(node.arg, ev), ev.order)
     else:
         raise TypeError(f"unexpected node {node!r}")
-    if point.ndim > 1 and not isinstance(out, Jet):
+    if ev.point.ndim > 1 and not isinstance(out, Jet):
         out = np.asarray(out)
     if entry is not None:  # the first of its uses
         entry[0] -= 1
         entry[1] = out
     return out
+
+
+def _eval_entry(field, ev):
+    """Jet (or constant) of one field in the evaluation `ev`.  Every
+    DomainError names the field's source text; so does a non-finite slot,
+    which fails closed."""
+    try:
+        jet = _eval_node(field.ast, ev)
+    except DomainError as exc:
+        raise DomainError(f"{exc} in {field.source_text!r}") from exc
+    # a constant field's derivatives are zeros: only its value can fail
+    slots = jet.slots() if isinstance(jet, Jet) else (jet,)
+    for k, slot in enumerate(slots):
+        if not _finite(slot):
+            what = "value" if k == 0 else f"order-{k} derivative"
+            raise DomainError(f"non-finite {what} of {field.source_text!r}")
+    return jet
 
 
 def _finite(slot):
@@ -689,11 +742,13 @@ def _finite(slot):
 def _batch_first(jet, n, order, batch, dtype):
     """The jet that ``eval_jet`` returns: each slot a fresh array of its full
     shape B+(n,)*k and of the given dtype, batch first, whatever batch axes
-    it varied along.  A constant gets zero derivatives."""
+    it varied along.  A constant gets zero derivatives.  A new Jet: the
+    given one may be an entry's and a subtree's of the same evaluation."""
     if not isinstance(jet, Jet):
         return Jet(n, order, np.full(batch, jet, dtype=dtype),
                    *[np.zeros(batch + (n,) * k, dtype=dtype)
                      for k in range(1, order + 1)])
+    jet = Jet(n, order, *jet.slots())
     names = ("grad", "hess", "third")[:order]
     if not batch:  # a single point: the gradient is (n,) already
         for k, name in enumerate(names[1:], 2):
@@ -769,7 +824,10 @@ class ScalarField:
 
         The slots are float64 for a real-closed field at a real point (a
         single point's value a Python float), else complex128 (a Python
-        complex)."""
+        complex).  A field built by `stack` evaluates its entries together
+        and returns them on a leading entry axis; any other field is its
+        one-entry case, returned without that axis.  A DomainError names
+        the entry that failed."""
         if not 0 <= order <= MAX_ORDER:
             raise ValueError("order must be in 0..3")
         arith, pt = self._arith(point)
@@ -777,15 +835,18 @@ class ScalarField:
             raise ArityError(
                 f"point has {pt.shape[-1]} components, field has dim {self.dim}"
             )
-        memo = {key: [n, None] for key, n in self._shared.items()}
-        jet = _eval_node(self.ast, pt, order, memo, arith)
-        # a constant field's derivatives are zeros: only its value can fail
-        slots = jet.slots() if isinstance(jet, Jet) else (jet,)
-        for k, slot in enumerate(slots):
-            if not _finite(slot):
-                what = "value" if k == 0 else f"order-{k} derivative"
-                raise DomainError(f"non-finite {what} of {self.source_text!r}")
-        jet = _batch_first(jet, self.dim, order, pt.shape[:-1], arith.dtype)
+        stacked = isinstance(self.ast, Stack)
+        ev = _Evaluation(pt, order, arith, self._shared)
+        # an overflow or NaN fails closed in _eval_entry, not as a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            jets = [_eval_entry(f, ev)
+                    for f in (self.ast.fields if stacked else (self,))]
+        jets = [_batch_first(j, self.dim, order, pt.shape[:-1], arith.dtype)
+                for j in jets]
+        if stacked:
+            return Jet(self.dim, order,
+                       *map(np.stack, zip(*(j.slots() for j in jets))))
+        jet = jets[0]
         if pt.ndim == 1:
             jet.value = arith.scalar(jet.value)
         return jet
@@ -794,12 +855,13 @@ class ScalarField:
         return self.eval_jet(point, order=0).value
 
     def partial(self, k):
-        """Field of the partial derivative with respect to u^{k+1} (k zero-based)."""
+        """Field of the partial derivative with respect to u^{k+1} (k
+        zero-based); its source text is the derivative's expression, which
+        `parse` reads back."""
         if not 0 <= k < self.dim:
             raise ArityError(f"no coordinate index {k} in dim {self.dim}")
-        return ScalarField(
-            f"d{k + 1}({self.source_text})", _diff_node(self.ast, k), self.dim
-        )
+        ast = _diff_node(self.ast, k)
+        return ScalarField(_text(ast), ast, self.dim)
 
     # -- combinators ---------------------------------------------------------
 
@@ -851,6 +913,23 @@ class ScalarField:
 def constant(c, dim):
     c = complex(c)
     return ScalarField(_format_complex(c), Const(c), dim)
+
+
+def stack(fields):
+    """One field of several fields of one dimension, its entries.
+
+    Its eval_jet evaluates every entry in one call, each subtree that the
+    entries share (by node) and each coordinate once, and returns slots
+    with the entry axis first: value (E,)+B, grad (E,)+B+(n,), ...  The
+    arithmetic is chosen for the stack as a whole, so it is float64 only
+    if every entry is real-closed.
+    """
+    fields = tuple(fields)
+    dims = {f.dim for f in fields}
+    if len(dims) != 1:
+        raise ArityError("stacked fields need one dimension")
+    text = "[" + ", ".join(f.source_text for f in fields) + "]"
+    return ScalarField(text, Stack(fields), dims.pop())
 
 
 def variable(i, dim):
@@ -917,6 +996,65 @@ def _format_complex(c):
     return f"({c.real}+{c.imag}i)"
 
 
+# Expression text of an AST, as parse reads it back: each node gets its
+# grammar level, 0 a sum, 1 a product, 2 a negation or power, 3 an atom,
+# and an operand below the level its place needs is parenthesized.
+
+
+def _number_text(x):
+    """A number token (or parenthesized expression) for a float x >= 0."""
+    if math.isnan(x):
+        return "(1e999-1e999)"
+    if math.isinf(x):
+        return "1e999"
+    return str(int(x)) if x.is_integer() and x < 2**53 else repr(x)
+
+
+def _literal_text(c):
+    """A literal: a real one is its number, negated as "(-x)"; a complex
+    one is "(a+bi)", which parse reads as the sum of its parts."""
+    re, im = c.real, c.imag
+    real = _number_text(abs(re))
+    if math.copysign(1.0, re) < 0:
+        real = "-" + real
+    if im == 0:
+        return real if real[0] != "-" else f"({real})"
+    imag = _number_text(abs(im)) + "i"
+    if re == 0 and real[0] != "-" and im > 0:
+        return imag
+    return f"({real}{'+' if im > 0 else '-'}{imag})"
+
+
+def _level_text(node):
+    """(text, level) of a node."""
+    if isinstance(node, Const):
+        return _literal_text(node.value), 3
+    if isinstance(node, Var):
+        return f"u{node.index + 1}", 3
+    if isinstance(node, Call):
+        return f"{node.func}({_text(node.arg)})", 3
+    if isinstance(node, Neg):
+        return "-" + _operand_text(node.arg, 2), 2
+    if isinstance(node, Pow):
+        return f"{_operand_text(node.base, 3)}^{node.exponent}", 2
+    if isinstance(node, BinOp):
+        level = 0 if node.op in "+-" else 1
+        return (_operand_text(node.left, level) + node.op
+                + _operand_text(node.right, level + 1)), level
+    raise TypeError(f"unexpected node {node!r}")
+
+
+def _operand_text(node, level):
+    text, own = _level_text(node)
+    return text if own >= level else f"({text})"
+
+
+def _text(node):
+    """Expression text of an AST that parse reads back to the same
+    operations on the same literals."""
+    return _level_text(node)[0]
+
+
 # ---------------------------------------------------------------------------
 # Parser
 
@@ -962,7 +1100,6 @@ class _Parser:
         self.dim = dim
         self.tokens = _tokenize(text)
         self.i = 0
-        self.variables = {}  # one node per variable, evaluated once per jet
 
     def peek(self):
         return self.tokens[self.i]
@@ -1044,7 +1181,7 @@ class _Parser:
                     raise ArityError(
                         f"variable u{idx} out of range for dimension {self.dim}"
                     )
-                return self.variables.setdefault(idx, Var(idx - 1))
+                return Var(idx - 1)
             if t.text in _FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr()

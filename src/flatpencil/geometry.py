@@ -5,18 +5,23 @@ or a batch (..., n), whose axes lead every output: inverse, Christoffel
 symbols and curvature of a metric, from g^{ij} in contravariant form, in both
 index positions; affinor, Nijenhuis and M tensors of a pair; pencil
 eigenvalues, at one point only.  A metric source may add axes of its own
-ahead of the point's, such as the member axis of `PencilMembers`.
+ahead of the point's, such as the member axis of `PencilMembers`.  A
+source evaluates its entries through one `_Entries` table, built once per
+source: one `eval_jet` call per point or batch for all of its non-literal
+entries, in which the subtrees they share are evaluated once.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
 from .errors import ArityError, DegenerateMetric
-from .expr import Const, ScalarField, constant
+from .expr import Const, ScalarField, constant, stack
 
 DEGENERACY_TOL = 1e-10
 
@@ -85,37 +90,76 @@ class MetricField:
     def entry_jets(self, point, order):
         """Entry values and partials at one point (n,) or a batch (..., n):
         V[..., i, j], d[..., k, i, j] = d_k V_ij and d2[..., k, l, i, j];
-        the partials above `order` are None.  The one entry loop: every
-        geometry function starts from it."""
-        pt = np.asarray(point, dtype=complex)
-        n = self.dim
-        if pt.shape[-1] != n:  # as eval_jet would say, which literals skip
-            raise ArityError(
-                f"point has {pt.shape[-1]} components, field has dim {n}")
-        batch = pt.shape[:-1]
-        V = np.empty(batch + (n, n), dtype=complex)
-        d = np.empty(batch + (n,) * 3, dtype=complex) if order >= 1 else None
-        d2 = np.empty(batch + (n,) * 4, dtype=complex) if order >= 2 else None
-        for i in range(n):
-            for j in range(i, n):
-                f = self.entries[i][j]
-                if isinstance(f.ast, Const) and np.isfinite(f.ast.value):
-                    # a literal: its jet is known without evaluating it
-                    value, grad, hess = f.ast.value, 0, 0
-                else:
-                    jet = f.eval_jet(pt, order)
-                    value, grad, hess = jet.value, jet.grad, jet.hess
-                V[..., i, j] = V[..., j, i] = value
-                if d is not None:
-                    d[..., :, i, j] = d[..., :, j, i] = grad
-                if d2 is not None:
-                    d2[..., :, :, i, j] = d2[..., :, :, j, i] = hess
-        return V, d, d2
+        the partials above `order` are None.  Every geometry function starts
+        from it; the entries are evaluated by one `_Entries` table, built at
+        the first call (entries are not to be replaced after it)."""
+        return self._entries.jets(point, order)[0]
+
+    @functools.cached_property
+    def _entries(self):
+        return _Entries([self])
 
     def values(self, point):
         """Entry matrix at one point (n,) or at a batch (..., n) of points,
         with shape (..., n, n)."""
         return self.entry_jets(point, 0)[0]
+
+
+def _is_literal(f):
+    """Whether an entry is a finite literal, whose jet is known without
+    evaluating it (a non-finite one is evaluated, and fails closed)."""
+    return isinstance(f.ast, Const) and cmath.isfinite(f.ast.value)
+
+
+class _Entries:
+    """The entries of one or more metrics of one dimension, evaluated
+    together.
+
+    Built once per metric source: the distinct non-literal entries (by AST
+    node, in row-major order of the upper triangles, metric by metric) are
+    one stacked field, so each `jets` call makes one `eval_jet` call, in
+    which every subtree they share and every coordinate is evaluated once.
+    The finite literals follow them as columns of known values; rows[m] is
+    the (n, n) table of each entry's column for metric m.
+    """
+
+    def __init__(self, metrics):
+        distinct = {}
+        for g in metrics:
+            for row in g.entries:
+                for f in row:
+                    distinct.setdefault(id(f.ast), f)
+        evaluated = [f for f in distinct.values() if not _is_literal(f)]
+        literals = [f for f in distinct.values() if _is_literal(f)]
+        column = {id(f.ast): c for c, f in enumerate(evaluated + literals)}
+        self.dim = metrics[0].dim
+        self.field = stack(evaluated) if evaluated else None
+        self.literals = np.array([f.ast.value for f in literals],
+                                 dtype=complex)
+        self.rows = [np.array([[column[id(f.ast)] for f in row]
+                               for row in g.entries]) for g in metrics]
+        self.width = len(column)
+
+    def jets(self, point, order):
+        """(V, d, d2) of each metric at `point`, as MetricField.entry_jets
+        gives them; the entries are evaluated at the point as complex."""
+        pt = np.asarray(point, dtype=complex)
+        n = self.dim
+        if pt.shape[-1] != n:  # as eval_jet would say, which literals skip
+            raise ArityError(
+                f"point has {pt.shape[-1]} components, field has dim {n}")
+        # one column per entry, last: value, then d_k and d_k d_l ahead of it
+        order = min(order, 2)
+        tables = [np.zeros(pt.shape[:-1] + (n,) * k + (self.width,),
+                           dtype=complex) for k in range(order + 1)]
+        tables[0][..., self.width - len(self.literals):] = self.literals
+        if self.field is not None:
+            jet = self.field.eval_jet(pt, order)
+            for table, slot in zip(tables, jet.slots()):
+                table[..., :len(slot)] = np.moveaxis(slot, 0, -1)
+        tables += [None] * (2 - order)
+        return [tuple(None if t is None else t.take(rows, axis=-1)
+                      for t in tables) for rows in self.rows]
 
 
 def linear_combination(l1, g1, l2, g2):
@@ -134,9 +178,10 @@ class PencilMembers:
     metrics, stacked on a leading member axis in the order of `lambdas`;
     with `ends`, g1 and g2 themselves come first.
 
-    Its `entry_jets` evaluates the entries of g1 and g2 once.  Entry jets
-    are linear in the metric, so each member's are l1*E1 + l2*E2 of those
-    exactly, and no member is built or differentiated as an expression of
+    Its `entry_jets` evaluates the entries of g1 and g2 together, in one
+    `_Entries` table, so the subtrees they share are evaluated once.  Entry
+    jets are linear in the metric, so each member's are l1*E1 + l2*E2 of
+    those exactly, and no member is built or differentiated as an expression of
     its own; `geometry_jet` of the source gives every member in one call.
     """
 
@@ -147,13 +192,13 @@ class PencilMembers:
             raise ValueError("members need two contravariant metrics "
                              "of one dimension")
         self.g1, self.g2, self.dim, self.ends = g1, g2, g1.dim, ends
+        self._entries = _Entries([g1, g2])
         self._l1, self._l2 = np.array(
             list(lambdas), dtype=complex).reshape(-1, 2).T
 
     def entry_jets(self, point, order):
         """(V, d, d2) of every member, member axis first; see MetricField."""
-        E1 = self.g1.entry_jets(point, order)
-        E2 = self.g2.entry_jets(point, order)
+        E1, E2 = self._entries.jets(point, order)
         return tuple([None if a is None else self._stack(a, b)
                       for a, b in zip(E1, E2)])
 

@@ -354,6 +354,25 @@ def parent_identity_residuals(g1, g2, point, one_rule):
     return {k: float(v).hex() for k, v in out.items()}
 
 
+def parent_random_poly_metric(rng, dim):
+    """The parent's random metric: each entry written as text with
+    6-decimal coefficients, then parsed."""
+    upper = {}
+    monomials = [f"u{k+1}" for k in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            c = rng.uniform(-0.3, 0.3, size=dim + 2)
+            terms = [f"({c[0]:.6f})"]
+            terms += [
+                f"({c[k+1]:.6f})*{monomials[k]}" for k in range(dim)
+            ]
+            terms.append(f"({c[-1]:.6f})*exp(u1/4)")
+            if i == j:
+                terms.append("2.5")
+            upper[(i, j)] = expr.parse("+".join(terms), dim)
+    return MetricField.from_upper(upper, CONTRAVARIANT)
+
+
 class TestIdentities:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_member_axis_equals_per_metric_parent(self, dim):
@@ -374,6 +393,23 @@ class TestIdentities:
                 else:
                     assert got[k] == parent[k]
             assert got["ch1_g1"] != parent["ch1_g1"]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_metrics_built_without_text_match_parsed_ones(self, dim):
+        # the same draws, the same operations on the same literals
+        a, b = np.random.default_rng(dim), np.random.default_rng(dim)
+        point = np.linspace(0.2, 1.0, dim)
+        for _ in range(5):
+            g = cli._random_poly_metric(a, dim)
+            ref = parent_random_poly_metric(b, dim)
+            for x, y in zip(g.entry_jets(point, 2), ref.entry_jets(point, 2)):
+                assert x.tobytes() == y.tobytes()
+
+    def test_report_equals_text_route(self, monkeypatch):
+        got = run_identities(40, 2)
+        monkeypatch.setattr(cli, "_random_poly_metric",
+                            parent_random_poly_metric)
+        assert run_identities(40, 2) == got
 
     def test_report_deterministic_for_seed(self, tmp_path):
         out1 = tmp_path / "a.json"
@@ -481,6 +517,12 @@ INPUT_ERRORS = {
     "dressing-row-outside": (_run({"version": 1, "jobs": [{
         "kind": "dressing", "dim": 2, "phi": {"0,1": GAUSSIAN},
         "u": [0.3, 0.4], "m": 9, "rows": [100]}]}), "row 100"),
+    "pair-entry-overflows": (_run({
+        "version": 1, "dim": 2,
+        "metrics": {"big": {"diagonal": ["exp(1000*u1)", "1"]},
+                    "eye": {"identity": True}},
+        "jobs": [{"kind": "pair-check", "g1": "big", "g2": "eye"}]}),
+        "'exp(1000*u1)'"),
     "run-out-unwritable": (lambda tmp: [
         "run", write_manifest(tmp, pair_manifest({})),
         "--out", str(tmp / "missing" / "x")], "cannot open output"),
@@ -545,3 +587,18 @@ class TestInputErrors:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert named in lines[0]
         assert captured.out == ""
+
+
+class TestParser:
+    def test_built_once_and_dispatched_at_call_time(self, tmp_path,
+                                                    monkeypatch):
+        assert cli._parser() is cli._parser()
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_run",
+                            lambda args: seen.append(args.manifest) or 7)
+        assert main(["run", "a.json"]) == 7
+        assert main(["run", "b.json", "--seed", "3"]) == 7
+        assert seen == ["a.json", "b.json"]
+        out = tmp_path / "id.json"
+        assert main(["identities", "--trials", "2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["trials"] == 2

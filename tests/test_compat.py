@@ -155,9 +155,9 @@ class TestFlatPencil:
 class TestSinglePass:
     def test_full_report_one_jet_per_metric_and_member(self, monkeypatch,
                                                        count_calls):
-        # members come from the entry jets of g1 and g2: each entry of the
-        # two metrics is evaluated once per point, and no member expression
-        # is built
+        # members come from the entry jets of g1 and g2: the entries of the
+        # two metrics are evaluated together, in one call per point, and no
+        # member expression is built
         calls = count_calls(expr.ScalarField, "eval_jet")
         combined = []
         monkeypatch.setattr(geometry, "linear_combination",
@@ -171,8 +171,8 @@ class TestSinglePass:
         # EYE2's literal entries are written directly, never evaluated
         evaluated = [e for e in entries if not isinstance(e.ast, expr.Const)]
         assert len(evaluated) == 2
-        assert len(calls) == 2 * len(PTS)
-        assert all(calls.count(e) == len(PTS) for e in evaluated)
+        assert len(calls) == len(PTS)
+        assert all(c.ast.fields == tuple(evaluated) for c in calls)
         assert combined == [] and "linear_combination" not in vars(compat)
 
     def test_members_evaluated_only_from_compatible_on(self):
@@ -600,16 +600,17 @@ class TestBracketMetric:
 
     def test_fallback_evaluates_g2_once_per_point(self, count_calls):
         # g2 is degenerate at the origin, the first point, so the full check
-        # raises there after one order-2 evaluation of g2's 3 entries; the
-        # fallback then evaluates them once at order 0 over all points (the
-        # degeneracy masks), h's Hessians once (b), and g2's entries at
-        # order 2 once per point for the kept members' geometry
+        # raises there after one order-2 evaluation of g2's 3 entries (one
+        # call for all three); the fallback then evaluates them once at
+        # order 0 over all points (the degeneracy masks), h's Hessians once
+        # (b), and g2's entries at order 2 once per point for the kept
+        # members' geometry
         calls = count_calls(expr.ScalarField, "eval_jet")
         eta = np.array([[0.0, 1.0], [1.0, 0.0]])
         h = [expr.parse("u1^2*u2", 2), expr.parse("u2^2", 2)]
         pts = np.vstack([[[0.0, 0.0]], PTS, [[1.0, 0.5]]])
         mokhov_bracket_metric(eta, h, pts)
-        assert len(calls) == 3 + 3 + 2 + 3 * len(pts)
+        assert len(calls) == 1 + 1 + 2 + len(pts)
 
     def test_random_h_matches_direct_check(self):
         eta = np.eye(2)

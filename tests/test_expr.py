@@ -881,3 +881,156 @@ class TestGridCompression:
                 assert slot.flags.writeable and slot.flags.c_contiguous
         for x, y in itertools.combinations(slots, 2):
             assert not np.shares_memory(x, y)
+
+
+def entry_bytes(jet, e=None):
+    """Raw bytes of each slot of a jet, or of entry e of a stacked one."""
+    return [np.asarray(s if e is None else s[e]).tobytes()
+            for s in jet.slots()]
+
+
+class TestStack:
+    """stack(fields).eval_jet evaluates the entries together: each slot has
+    the entry axis first and holds, entry by entry, the bytes of that
+    entry's own eval_jet in the stack's arithmetic."""
+
+    @pytest.mark.parametrize("batch", [(), (5,), (4, 3)])
+    @pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+    def test_equals_each_entry_by_bytes(self, batch, kind):
+        rng = np.random.default_rng(len(batch) + 10 * len(kind))
+        dim = 3
+        if len(batch) > 1:
+            pt = grid_points(rng, batch, [(0,), (1,), (0, 1)])
+        else:
+            pt = rng.uniform(0.2, 1.3, size=batch + (dim,))
+        fields = []
+        while len(fields) < 6:
+            f = expr.ScalarField("t", random_node(rng, dim, 4), dim)
+            want_real = kind == "real" or (kind == "mixed" and len(fields) % 2)
+            if f.real_closed != want_real:
+                continue
+            try:
+                with np.errstate(all="ignore"):
+                    f.eval_jet(pt, 2)
+            except DomainError:
+                continue
+            fields.append(f)
+        # the entries share subtrees, and one is there twice
+        fields += [fields[0].partial(1), fields[2]]
+        s = expr.stack(fields)
+        assert s.real_closed == (kind == "real")
+        with np.errstate(all="ignore"):
+            got = s.eval_jet(pt, 3)
+            # a mixed stack is complex, as its entries are at a complex point
+            at = pt if kind == "real" else pt.astype(complex)
+            for e, f in enumerate(fields):
+                assert entry_bytes(got, e) == entry_bytes(f.eval_jet(at, 3))
+        for k, slot in enumerate(got.slots()):
+            assert slot.shape == (len(fields),) + batch + (dim,) * k
+            assert slot.flags.c_contiguous
+            assert slot.dtype == (float if kind == "real" else complex)
+
+    def test_one_entry_is_the_single_field_case(self):
+        f = expr.parse("exp(u1*u2) + u1^-2", 2)
+        for pt in (np.array([0.4, 0.9]), np.full((3, 2), 0.7)):
+            got, single = expr.stack([f]).eval_jet(pt, 2), f.eval_jet(pt, 2)
+            assert entry_bytes(got, 0) == entry_bytes(single)
+        assert isinstance(f.eval_jet([0.4, 0.9], 2).value, float)
+
+    def test_shared_subtrees_and_coordinates_evaluated_once(self,
+                                                            count_calls):
+        f = expr.parse("exp(u1*u2)", 2)
+        g = expr.parse("sin(u1) + u2", 2)
+        fields = [f, f.partial(0), g, f, g * f]
+        calls = count_calls(expr, "_call")
+        coords = count_calls(expr.Jet, "variable")
+        pts = np.random.default_rng(1).uniform(0.2, 1.0, (4, 2))
+        for pt in (pts, pts[0]):
+            calls.clear()
+            coords.clear()
+            expr.stack(fields).eval_jet(pt, 2)
+            # exp(u1*u2) and sin(u1) once each, whichever entry reads them
+            assert sorted(calls) == ["exp", "sin"]
+            # the two parses hold separate u1 and u2 nodes
+            assert sorted(coords) == [0, 1]
+
+    def test_dimensions_must_agree(self):
+        with pytest.raises(ArityError):
+            expr.stack([expr.parse("u1", 1), expr.parse("u1", 2)])
+
+
+class TestEvaluationErrors:
+    @pytest.mark.parametrize("text, message, point", [
+        ("1/(u1-1)", "division by zero", [1.0, 0.5]),
+        ("(u1-1)^-2", "zero raised to a negative power", [1.0, 0.5]),
+        ("ln(u1-u2)", "ln of zero", [0.5, 0.5]),
+        ("sqrt(u1-1)", "sqrt derivative at zero", [1.0, 0.5]),
+    ])
+    def test_domain_error_names_the_entry(self, text, message, point):
+        bad, ok = expr.parse(text, 2), expr.parse("u1*u2", 2)
+        named = f"{message} in {text!r}"
+        batch = np.array([[0.3, 0.7], point, [0.6, 0.2]])
+        for pt in (np.array(point), batch):
+            for f in (bad, expr.stack([ok, bad, ok * 2])):
+                with pytest.raises(DomainError) as exc:
+                    f.eval_jet(pt, 1)
+                assert str(exc.value) == named
+
+    def test_metric_entry_named(self):
+        g = MetricField.diagonal([expr.parse("1/(u1-1)", 2),
+                                  expr.parse("1", 2)])
+        for pt in ([1.0, 0.5], [[0.5, 0.5], [1.0, 0.5]]):
+            with pytest.raises(DomainError,
+                               match=r"division by zero in '1/\(u1-1\)'"):
+                g.entry_jets(pt, 2)
+
+    def test_overflow_fails_closed_without_warnings(self):
+        # the suite turns RuntimeWarnings into errors
+        f = expr.parse("exp(1000*u1)", 1)
+        with pytest.raises(DomainError, match=r"non-finite value of"):
+            f.eval_jet([1.0], 2)
+        g = expr.parse("exp(u1^2)", 1)
+        both = expr.stack([expr.parse("u1^3", 1), g])
+        with pytest.raises(DomainError,
+                           match=r"non-finite order-1 derivative of 'exp"):
+            both.eval_jet([[0.5], [26.6]], 2)
+
+
+class TestPartialText:
+    """A partial's source text is the derivative's expression, which parse
+    reads back to a field with the same values and partials."""
+
+    @staticmethod
+    def assert_same(f, g, pt):
+        a, b = f.eval_jet(pt, 2), g.eval_jet(pt, 2)
+        for x, y in zip(a.slots(), b.slots()):
+            assert np.array_equal(x, y)
+
+    def test_two_hundred_random_fields(self):
+        rng = np.random.default_rng(2024)
+        make = TestRandomFieldsAgainstFiniteDifferences()._random_field
+        for trial in range(200):
+            dim = int(rng.integers(1, 4))
+            f = make(rng, dim)
+            p = rng.uniform(0.3, 1.2, size=dim)
+            for k in range(dim):
+                df = f.partial(k)
+                again = expr.parse(df.source_text, dim)
+                self.assert_same(again, df, p)
+                self.assert_same(again, df, rng.uniform(0.3, 1.2, (3, dim)))
+
+    @pytest.mark.parametrize("build", [
+        lambda x, y: x ** -2 * expr.exp(y) - 3 / (x * y),
+        lambda x, y: (1 + 2j) * x ** 3 + expr.sqrt(x - y) * (-0.5 - 1.5j),
+        lambda x, y: -2j * y ** -1 + expr.ln(-x) - (-(x ** 2)) ** 2,
+        lambda x, y: expr.cos(-x) * expr.sin(x * y) / (2.5 - y) ** -3,
+    ])
+    def test_negative_powers_and_complex_literals(self, build):
+        x, y = expr.variable(0, 2), expr.variable(1, 2)
+        f = build(x, y)
+        pts = np.array([[0.7, 0.3], [1.3, 0.4]])
+        for k in range(2):
+            for df in (f.partial(k), f.partial(k).partial(1 - k)):
+                again = expr.parse(df.source_text, 2)
+                self.assert_same(again, df, pts)
+                self.assert_same(again, df, pts[0])

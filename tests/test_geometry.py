@@ -471,9 +471,10 @@ class TestLiteralEntries:
         want = self.evaluated(g, pts, 2)
         calls = count_calls(expr.ScalarField, "eval_jet")
         got = g.entry_jets(pts, 2)
-        # "-2.5" parses as the negation of a literal, so it is evaluated
-        assert [f.source_text for f in calls] == [
-            "u1^-2", "-2.5", "2*(u1*sin(u2))^-2"]
+        # "-2.5" parses as the negation of a literal, so it is evaluated;
+        # the evaluated entries go through one call
+        assert [[f.source_text for f in c.ast.fields] for c in calls] == [
+            ["u1^-2", "-2.5", "2*(u1*sin(u2))^-2"]]
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
@@ -484,3 +485,56 @@ class TestLiteralEntries:
         g = MetricField.diagonal([expr.parse("1e400", 2), expr.parse("1", 2)])
         with pytest.raises(DomainError):
             g.entry_jets(np.zeros(2), 0)
+
+
+class TestEntryEvaluation:
+    """entry_jets evaluates the distinct non-literal entries of its metrics
+    in one eval_jet call, at the point taken as complex."""
+
+    TEXTS = {
+        "real": {(0, 0): "2+u1*u2", (0, 1): "0.3*sin(u3)", (0, 2): "0",
+                 (1, 1): "3+exp(u2/4)", (1, 2): "0.3*sin(u3)",
+                 (2, 2): "4+u3^2"},
+        "complex": {(0, 0): "sqrt(1+u1)", (0, 1): "(0.1+0.2i)*u2",
+                    (1, 1): "ln(2+u3)", (2, 2): "sqrt(1+u1)"},
+        "mixed": {(0, 0): "sqrt(1+u1)", (0, 1): "0.1*u1*u2",
+                  (1, 1): "2+cos(u1)", (1, 2): "1.5", (2, 2): "3+ln(1+u1)"},
+    }
+
+    @pytest.mark.parametrize("kind", list(TEXTS))
+    @pytest.mark.parametrize("batch", [(), (4,), (3, 2)])
+    def test_one_call_bit_equal_to_each_entry(self, kind, batch,
+                                              count_calls):
+        g = MetricField.from_upper(
+            {ij: expr.parse(t, 3) for ij, t in self.TEXTS[kind].items()},
+            CONTRAVARIANT)
+        pts = np.random.default_rng(5).uniform(0.4, 1.2, batch + (3,))
+        want = TestLiteralEntries.evaluated(g, pts, 2)
+        calls = count_calls(expr.ScalarField, "eval_jet")
+        for order in (0, 2):
+            got = g.entry_jets(pts, order)
+            for a, b in zip(got[:order + 1], want):
+                assert a.tobytes() == b.tobytes() and a.flags.c_contiguous
+        # duplicated entries once each, literals ("0", "1.5") never
+        distinct = {id(f.ast): f for row in g.entries for f in row
+                    if not isinstance(f.ast, expr.Const)}
+        assert len(calls) == 2
+        assert all(c.ast.fields == tuple(distinct.values()) for c in calls)
+
+    def test_members_share_subtrees_of_both_metrics(self, count_calls):
+        e = expr.parse("exp(u1*u2)", 2)
+        s = expr.parse("sin(u2)", 2)
+        g1 = MetricField.diagonal([e, e * s])
+        g2 = MetricField.diagonal([2 * e, s + 1])
+        members = PencilMembers(g1, g2, [(1.0, 2.0)], ends=True)
+        funcs = count_calls(expr, "_call")
+        pts = np.random.default_rng(6).uniform(0.3, 1.1, (5, 2))
+        for p in (pts, pts[0]):
+            funcs.clear()
+            jets = geometry_jet(members, p)
+            assert sorted(funcs) == ["exp", "sin"]
+            for k, g in enumerate([g1, g2]):
+                ref = geometry_jet(g, p)
+                assert all(np.array_equal(getattr(jets[k], f.name),
+                                          getattr(ref, f.name))
+                           for f in fields(GeometryJet))
