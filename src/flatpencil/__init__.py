@@ -19,7 +19,6 @@ from .errors import (
 from .expr import ScalarField, constant, cos, embed, exp, ln, parse, sin, sqrt, variable
 from .geometry import (
     CONTRAVARIANT,
-    COVARIANT,
     Affinor,
     GeometryJet,
     MetricField,

@@ -101,9 +101,6 @@ class MetricPair:
     def __post_init__(self):
         if self.g1.dim != self.g2.dim:
             raise ValueError("metrics must share a dimension")
-        if (self.g1.variance != CONTRAVARIANT
-                or self.g2.variance != CONTRAVARIANT):
-            raise ValueError("pair checks expect contravariant metrics")
         self.sample_points = np.atleast_2d(
             np.asarray(self.sample_points)
         )

@@ -2,13 +2,13 @@
 
 Everything here is a pure function of immutable field inputs at a point (n,)
 or a batch (..., n), whose axes lead every output: inverse, Christoffel
-symbols and curvature of a metric, from g^{ij} in contravariant form, in both
-index positions; affinor, Nijenhuis and M tensors of a pair; pencil
-eigenvalues, at one point only.  A metric source may add axes of its own
-ahead of the point's, such as the member axis of `PencilMembers`.  A
-source evaluates its entries through one `_Entries` table, built once per
-source: one `eval_jet` call per point or batch for all of its non-literal
-entries, in which the subtrees they share are evaluated once.
+symbols and curvature of a metric, given in contravariant form g^{ij};
+affinor, Nijenhuis and M tensors of a pair; pencil eigenvalues, at one
+point only.  A metric source may add axes of its own ahead of the point's,
+such as the member axis of `PencilMembers`.  A source evaluates its
+entries through one `_Entries` table, built once per source: one
+`eval_jet` call per point or batch for all of its non-literal entries, in
+which the subtrees they share are evaluated once.
 """
 
 from __future__ import annotations
@@ -26,14 +26,15 @@ from .expr import Const, ScalarField, constant, stack
 DEGENERACY_TOL = 1e-10
 
 CONTRAVARIANT = "contravariant"
-COVARIANT = "covariant"
 
 
 @dataclass
 class MetricField:
-    """Symmetric N x N matrix of scalar fields, contravariant or covariant.
+    """Symmetric N x N matrix of scalar fields, the contravariant g^{ij}.
 
-    entries[i][j] and entries[j][i] reference the same field object.
+    entries[i][j] and entries[j][i] reference the same field object.  The
+    variance is checked here, once, for every metric of the package: only
+    CONTRAVARIANT is accepted.
     """
 
     dim: int
@@ -41,8 +42,9 @@ class MetricField:
     entries: List[List[ScalarField]]
 
     def __post_init__(self):
-        if self.variance not in (CONTRAVARIANT, COVARIANT):
-            raise ValueError(f"bad variance {self.variance!r}")
+        if self.variance != CONTRAVARIANT:
+            raise ValueError(f"metrics are contravariant, not "
+                             f"{self.variance!r}")
         n = self.dim
         if len(self.entries) != n or any(len(row) != n for row in self.entries):
             raise ValueError("entries must be an N x N matrix")
@@ -164,13 +166,13 @@ class _Entries:
 
 def linear_combination(l1, g1, l2, g2):
     """The metric field l1*g1 + l2*g2 (entries stay shared symmetrically)."""
-    if g1.dim != g2.dim or g1.variance != g2.variance:
-        raise ValueError("metrics must share dimension and variance")
+    if g1.dim != g2.dim:
+        raise ValueError("metrics must share a dimension")
     upper = {}
     for i in range(g1.dim):
         for j in range(i, g1.dim):
             upper[(i, j)] = l1 * g1.entries[i][j] + l2 * g2.entries[i][j]
-    return MetricField.from_upper(upper, g1.variance)
+    return MetricField.from_upper(upper, CONTRAVARIANT)
 
 
 class PencilMembers:
@@ -185,12 +187,9 @@ class PencilMembers:
     its own; `geometry_jet` of the source gives every member in one call.
     """
 
-    variance = CONTRAVARIANT
-
     def __init__(self, g1, g2, lambdas, ends=False):
-        if g1.dim != g2.dim or {g1.variance, g2.variance} != {CONTRAVARIANT}:
-            raise ValueError("members need two contravariant metrics "
-                             "of one dimension")
+        if g1.dim != g2.dim:
+            raise ValueError("members need two metrics of one dimension")
         self.g1, self.g2, self.dim, self.ends = g1, g2, g1.dim, ends
         self._entries = _Entries([g1, g2])
         self._l1, self._l2 = np.array(
@@ -225,7 +224,6 @@ class GeometryJet:
     dg_down: np.ndarray       # [k,i,j] = d g_{ij} / d u^k
     gamma_mixed: np.ndarray   # [i,j,k] = Gamma^i_{jk}
     gamma_contra: np.ndarray  # [i,j,k] = Gamma^{ij}_k = g^{is} Gamma^j_{sk}
-    riemann_mixed: np.ndarray  # [i,j,k,l] = R^i_{jkl}
     riemann_upup: np.ndarray   # [i,j,k,l] = R^{ij}_{kl} = g^{is} R^j_{skl}
 
     def __getitem__(self, k):
@@ -274,29 +272,22 @@ def _product_jet(a, da, b, db):
     return (a @ fb).reshape(b.shape), dab.reshape(db.shape)
 
 
-def _geometry_from_entries(V, d, d2, variance, point):
+def _geometry_from_entries(V, d, d2, point):
     """GeometryJet at `point` (n,) or (..., n) from order-2 entry jets.
 
-    Contravariant: with A^{kij} = g^{kt} d_t g^{ij}, the one solution of
+    With A^{kij} = g^{kt} d_t g^{ij}, the one solution of
     metric compatibility and symmetry is c^{kij} = g^{kt} Gamma^{ij}_t =
     -(A^{kij} + A^{ikj} - A^{jki}) / 2, and R^{ij}_{kl} = g^{is} R^j_{skl}
     = X^{ij}_{kl} - X^{ij}_{lk}, X^{ij}_{kl} = d_k Gamma^{ij}_l +
     Gamma^i_{sk} Gamma^{sj}_l (compatibility cancels the terms symmetric
-    in (k, l)); a covariant V is inverted to contravariant jets first.
+    in (k, l)).  The inverse enters through g_{ij} and d_k g_{ij} only.
     """
-    W = _checked_inverse(V, point)
-    # d_k W = -W d_k V W and d_l d_k W, with k (and l) as matmul batch axes
-    Wk = W[..., None, :, :]
-    dW = -Wk @ d @ Wk
-    if variance == CONTRAVARIANT:
-        up, dup, d2up, down, ddown = V, d, d2, W, dW
-    else:
-        dk, Wkl = d[..., :, None, :, :], Wk[..., None, :, :]
-        dWl = dW[..., None, :, :, :]
-        d2W = -(dWl @ dk @ Wkl + Wkl @ d2 @ Wkl + Wkl @ dk @ dWl)
-        up, dup, d2up, down, ddown = W, dW, d2W, V, d
+    down = _checked_inverse(V, point)
+    # d_k g_{ij} = -g_{is} d_k g^{st} g_{tj}, with k as a matmul batch axis
+    down_k = down[..., None, :, :]
+    ddown = -down_k @ d @ down_k
 
-    A, dA = _product_jet(up, dup, dup, d2up)
+    A, dA = _product_jet(V, d, d, d2)
     # c[k,i,j] = -(A[k,i,j] + A[i,k,j] - A[j,k,i]) / 2, and its partials
     c, dc = [-0.5 * (x + np.swapaxes(x, -3, -2)
                      - np.einsum("...jki->...kij", x)) for x in (A, dA)]
@@ -308,13 +299,12 @@ def _geometry_from_entries(V, d, d2, variance, point):
 
     return GeometryJet(
         point=np.asarray(point, dtype=complex),
-        g_up=up,
+        g_up=V,
         g_down=down,
-        dg_up=dup,
+        dg_up=d,
         dg_down=ddown,
         gamma_mixed=gamma_mixed,
         gamma_contra=np.einsum("...kij->...ijk", G),
-        riemann_mixed=np.einsum("...js,...sikl->...ijkl", down, riemann_upup),
         riemann_upup=riemann_upup,
     )
 
@@ -324,16 +314,16 @@ def geometry_jet(g, point):
 
     Gamma^{ij}_k and R^{ij}_{kl} come from the exact contravariant entry
     jets and the first partials of the inverse, with no second partials of
-    it (`_geometry_from_entries`).  `g` is any source with `dim`,
-    `variance` and `entry_jets(point, order)`, such as a MetricField or
-    PencilMembers; `point` is broadcast over the axes the source adds
-    ahead of its own, so `GeometryJet.point` and a DegenerateMetric name a
-    point per member.
+    it (`_geometry_from_entries`).  `g` is any source of contravariant
+    entries with `dim` and `entry_jets(point, order)`, such as a
+    MetricField or PencilMembers; `point` is broadcast over the axes the
+    source adds ahead of its own, so `GeometryJet.point` and a
+    DegenerateMetric name a point per member.
     """
     pt = np.asarray(point, dtype=complex)
     V, d, d2 = g.entry_jets(pt, 2)
     pt = np.broadcast_to(pt, V.shape[:-2] + pt.shape[-1:])
-    return _geometry_from_entries(V, d, d2, g.variance, pt)
+    return _geometry_from_entries(V, d, d2, pt)
 
 
 def affinor_from_jets(j1, j2):
@@ -401,11 +391,7 @@ def roots_and_gap(v):
 
 def pencil_eigenvalues(g1, g2, point):
     """Roots of det(g1 - lambda g2) = 0, sorted by (Re, Im), plus min gap."""
-    if g1.variance != CONTRAVARIANT:
-        raise ValueError("pencil eigenvalues expect contravariant metrics")
     pt = np.asarray(point, dtype=complex)
     up1 = g1.values(pt)
     _checked_inverse(up1, pt)
-    V2 = g2.values(pt)
-    W2 = _checked_inverse(V2, pt)
-    return roots_and_gap(up1 @ (W2 if g2.variance == CONTRAVARIANT else V2))
+    return roots_and_gap(up1 @ _checked_inverse(g2.values(pt), pt))

@@ -23,7 +23,7 @@ from .compat import (
     check_constant_curvature,
 )
 from .errors import DomainError
-from .expr import ScalarField, constant, exp, parse
+from .expr import ScalarField, constant, exp, parse, stack
 from .geometry import CONTRAVARIANT, MetricField, geometry_jet
 from .lame import diagonal_pair, weighted_diagonal
 
@@ -53,13 +53,15 @@ def check_sys(m, points, tol=DEFAULT_TOL):
     """Max residual of the linear system tying b^1, b^2 to the potential F:
 
     db^2/du^1 = eps^1 (dF/du^2) b^1,   db^1/du^2 = -eps^2 (dF/du^1) b^2.
+
+    b^1, b^2 and F are evaluated in one call, which evaluates a field once
+    when b^1 and b^2 are the same one.
     """
     pts = np.atleast_2d(np.asarray(points))
-    db1 = m.b1.eval_jet(pts, 1)
-    db2 = m.b2.eval_jet(pts, 1)
-    dF = m.F.eval_jet(pts, 1)
-    r1 = np.abs(db2.grad[:, 0] - m.eps1 * dF.grad[:, 1] * db1.value)
-    r2 = np.abs(db1.grad[:, 1] + m.eps2 * dF.grad[:, 0] * db2.value)
+    jet = stack([m.b1, m.b2, m.F]).eval_jet(pts, 1)
+    (b1, b2, _), (db1, db2, dF) = jet.slots()
+    r1 = np.abs(db2[:, 0] - m.eps1 * dF[:, 1] * b1)
+    r2 = np.abs(db1[:, 1] + m.eps2 * dF[:, 0] * b2)
     w = _Worst()
     w.update("sys", np.maximum(r1, r2), pts)
     return CheckResult(w.res["sys"] < tol, w.res, w.wit)

@@ -45,6 +45,7 @@ from .expr import ScalarField
 from .lame import RotationCoeffs
 
 DECAY_TOL = 1e-8
+COND_LIMIT = 1e12  # largest 1-norm condition number of a row's matrix
 
 
 @dataclass
@@ -189,20 +190,10 @@ def reduce_kernel(k, p):
 
 
 def check_reduction_relation(k):
-    """Max residual of dF_ij(s, s')/ds' + dF_ji(s', s)/ds.
-
-    k is either a KernelGrid (second-order differences on the grid interior)
-    or a callable F(s, s') -> (N, N) matrix, checked at 16 seeded (s, s')
-    pairs in [-1, 1]^2 with fourth-order differences of step 1e-4.
+    """Max residual of dF_ij(s, s')/ds' + dF_ji(s', s)/ds for a callable
+    kernel k(s, s') -> (N, N) matrix, checked at 16 seeded (s, s') pairs in
+    [-1, 1]^2 with fourth-order differences of step 1e-4.
     """
-    if isinstance(k, KernelGrid):
-        h = k.nodes[1] - k.nodes[0]
-        d_sp = np.gradient(k.values, h, axis=3)  # dF_ij(s,s')/ds'
-        # dF_ji(s', s)/ds differentiates the second slot of F_ji at (s_b, s_a)
-        res = d_sp + np.einsum("ijab->jiba", d_sp)
-        interior = res[:, :, 1:-1, 1:-1]
-        return float(np.max(np.abs(interior), initial=0.0))
-
     samples = np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 2))
     step = 1e-4
 
@@ -287,12 +278,13 @@ def _row_operator(F, nodes, a):
     return A, w
 
 
-def _solve_row(F, nodes, a, dF=None, cond_limit=1e12):
+def _solve_row(F, nodes, a, dF=None):
     """Solve row node s_a with one explicit inverse of its Nystrom matrix.
 
     Returns (K, dK, cond): K[i, l, qq] = K_il(s_a, s_{a+qq}); cond is the
-    1-norm condition number ||A||_1 ||A^-1||_1.  Given the u-partials dF of
-    the kernel, dK[k, i, l, qq] solves the differentiated equation
+    1-norm condition number ||A||_1 ||A^-1||_1, at most COND_LIMIT (else
+    SingularOperator).  Given the u-partials dF of the kernel, dK[k, i, l,
+    qq] solves the differentiated equation
 
         A dK = dF_row + sum_qq w_qq K dF_blk
 
@@ -306,7 +298,7 @@ def _solve_row(F, nodes, a, dF=None, cond_limit=1e12):
     except np.linalg.LinAlgError:
         raise SingularOperator(a, float("inf")) from None
     cond = float(np.linalg.norm(A, 1) * np.linalg.norm(Ainv, 1))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularOperator(a, cond)
     rhs = F[:, :, a, a:].reshape(n, n * q).T  # columns: one per i
     K = (Ainv @ rhs).T.reshape(n, n, q)
@@ -322,7 +314,7 @@ def _solve_row(F, nodes, a, dF=None, cond_limit=1e12):
     return K, dK, cond
 
 
-def solve_integral_equation(k, rows=None, cond_limit=1e12):
+def solve_integral_equation(k, rows=None):
     """Nystrom solve of the truncated integral equation for each row node.
 
     For row node s_a the unknowns are K_il(s_a, s_q) with q >= a; the dense
@@ -349,7 +341,7 @@ def solve_integral_equation(k, rows=None, cond_limit=1e12):
     K = np.full((n, n, m, m), np.nan, dtype=F.dtype)
     conds = {}
     for a in rows:
-        Krow, _, conds[a] = _solve_row(F, nodes, a, cond_limit=cond_limit)
+        Krow, _, conds[a] = _solve_row(F, nodes, a)
         K[:, :, a, a:] = Krow
         if a > 0:
             # K_ij(s_a, s_b) for b < a: direct evaluation
@@ -386,26 +378,26 @@ def extract_beta(sol):
 
 
 class _DressedRow:
-    """beta_ij(u) = K_ji(s_a, s_a; u) and its exact u-partials at row node a.
+    """beta_ij(u) = K_ji(s_min, s_min; u) and its exact u-partials, from
+    the solve of the first row node.
 
     Keeps only the potentials and the grid of the problem, so that the
     rotation coefficients built on it hold little memory alive.
     """
 
-    __slots__ = ("Phi", "dim", "s_min", "s_max", "m", "a")
+    __slots__ = ("Phi", "dim", "s_min", "s_max", "m")
 
-    def __init__(self, p, a):
+    def __init__(self, p):
         self.Phi = p.Phi
         self.dim = p.dim
         self.s_min, self.s_max, self.m = p.s_min, p.s_max, p.m
-        self.a = a
 
     def _solve(self, u, order):
         if u.shape != (self.dim,):
             raise ValueError("base point must have length dim")
         nodes = np.linspace(self.s_min, self.s_max, self.m)
         F, dF = _tabulate(self.Phi, u, nodes, order)
-        K, dK, _ = _solve_row(F, nodes, self.a, dF)
+        K, dK, _ = _solve_row(F, nodes, 0, dF)
         return K[:, :, 0].T.copy(), dK
 
     def value(self, u):
@@ -416,8 +408,8 @@ class _DressedRow:
         return B, np.transpose(dK[:, :, :, 0], (0, 2, 1)).copy()
 
 
-def dressing_rotation(p, s_index=0):
-    """Rotation coefficients beta_ij(u) = K_ji(s_{s_index}, s_{s_index}; u).
+def dressing_rotation(p):
+    """Rotation coefficients beta_ij(u) = K_ji(s_min, s_min; u).
 
     value(u) tabulates the kernel at base point u and solves the single row.
     The partials in u are exact: jet(u) tabulates the kernel together with
@@ -426,5 +418,5 @@ def dressing_rotation(p, s_index=0):
     inverse, so each point costs one kernel tabulation and one inverse.
     The truncation-endpoint check of solve_integral_equation is not made.
     """
-    row = _DressedRow(p, s_index)
+    row = _DressedRow(p)
     return RotationCoeffs(p.dim, row.value, row.jet)

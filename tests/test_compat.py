@@ -357,9 +357,11 @@ class TestStackedMembers:
 
     def test_members_need_two_contravariant_metrics(self):
         g1, g2 = nondiagonal_3d_pair()
-        down = MetricField(3, "covariant", g2.entries)
-        for a, b in ((g1, down), (down, g1), (g1, EYE2)):
-            with pytest.raises(ValueError, match="contravariant"):
+        # a covariant metric is refused where it is built
+        with pytest.raises(ValueError, match="contravariant"):
+            MetricField(3, "covariant", g2.entries)
+        for a, b in ((g1, EYE2), (EYE2, g1)):
+            with pytest.raises(ValueError, match="one dimension"):
                 PencilMembers(a, b, [(1.0, 1.0)])
 
     def test_one_geometry_call_per_point(self, monkeypatch):

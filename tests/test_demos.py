@@ -1,5 +1,5 @@
 """The demo scripts, the demo manifest and README's quick start run to
-completion."""
+completion, with no numeric warning."""
 
 import os
 import re
@@ -11,14 +11,20 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# pyproject.toml's warning filters, which do not reach a subprocess
+WARNINGS_AS_ERRORS = [
+    "-W", "error::RuntimeWarning",
+    "-W", "error:Casting complex values to real discards the imaginary part",
+]
 
 
 def run(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *WARNINGS_AS_ERRORS, *args],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])

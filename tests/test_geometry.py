@@ -10,7 +10,6 @@ from flatpencil.compat import dubrovin_construct_and_check, mokhov_bracket_metri
 from flatpencil.errors import ArityError, DegenerateMetric, DomainError
 from flatpencil.geometry import (
     CONTRAVARIANT,
-    COVARIANT,
     GeometryJet,
     MetricField,
     PencilMembers,
@@ -24,9 +23,10 @@ from flatpencil.geometry import (
 )
 
 
-def polar_covariant():
+def polar():
+    """Polar coordinates of the Euclidean plane, g^{ij} = diag(1, u1^-2)."""
     return MetricField.diagonal(
-        [expr.parse("1", 2), expr.parse("u1^2", 2)], COVARIANT
+        [expr.parse("1", 2), expr.parse("u1^-2", 2)], CONTRAVARIANT
     )
 
 
@@ -52,7 +52,14 @@ class TestMetricField:
         g = expr.parse("(u1)", 2)
         rows = [[f, f], [g, f]]
         with pytest.raises(ValueError):
-            MetricField(2, COVARIANT, rows)
+            MetricField(2, CONTRAVARIANT, rows)
+
+    def test_covariant_metric_rejected(self):
+        f = expr.parse("1+u1^2", 2)
+        with pytest.raises(ValueError, match="contravariant"):
+            MetricField(2, "covariant", [[f, f], [f, f]])
+        with pytest.raises(ValueError, match="contravariant"):
+            MetricField.diagonal([f, f], "covariant")
 
     def test_values_symmetric(self):
         g = MetricField.from_upper(
@@ -91,19 +98,19 @@ class TestMetricField:
 
 class TestChristoffelAndCurvature:
     def test_polar_christoffels(self):
-        j = geometry_jet(polar_covariant(), [2.0, 0.7])
+        j = geometry_jet(polar(), [2.0, 0.7])
         assert j.gamma_mixed[0, 1, 1] == pytest.approx(-2.0)
         assert j.gamma_mixed[1, 0, 1] == pytest.approx(0.5)
         assert j.gamma_mixed[1, 1, 0] == pytest.approx(0.5)
 
     def test_polar_flat(self):
         for pt in ([1.0, 0.3], [2.5, 1.2]):
-            j = geometry_jet(polar_covariant(), pt)
-            assert np.max(np.abs(j.riemann_mixed)) < 1e-13
+            j = geometry_jet(polar(), pt)
+            assert np.max(np.abs(j.riemann_upup)) < 1e-13
 
     def test_sphere_unit_curvature_pattern(self):
         g = MetricField.diagonal(
-            [expr.parse("1", 2), expr.parse("sin(u1)^2", 2)], COVARIANT
+            [expr.parse("1", 2), expr.parse("sin(u1)^-2", 2)], CONTRAVARIANT
         )
         eye = np.eye(2)
         pattern = np.einsum("il,jk->ijkl", eye, eye) - np.einsum(
@@ -114,9 +121,11 @@ class TestChristoffelAndCurvature:
             assert np.max(np.abs(j.riemann_upup - pattern)) < 1e-12
 
     def test_curvature_against_finite_difference_christoffels(self):
-        # independent oracle: differentiate Gamma^i_{jl} numerically
+        # independent oracle: differentiate Gamma^i_{jl} numerically; the
+        # metric is g_{ij} = diag(exp(u1*u2), 1+u2^2)
         g = MetricField.diagonal(
-            [expr.parse("exp(u1*u2)", 2), expr.parse("1+u2^2", 2)], COVARIANT
+            [expr.parse("exp(-u1*u2)", 2), expr.parse("(1+u2^2)^-1", 2)],
+            CONTRAVARIANT,
         )
         p = np.array([0.6, 0.9])
         j = geometry_jet(g, p)
@@ -135,32 +144,31 @@ class TestChristoffelAndCurvature:
             + np.einsum("ipk,pjl->ijkl", gm0, gm0)
             - np.einsum("ipl,pjk->ijkl", gm0, gm0)
         )
-        assert np.max(np.abs(riem - j.riemann_mixed)) < 1e-6
+        # R^{ij}_{kl} = g^{is} R^j_{skl}
+        upup = np.einsum("is,jskl->ijkl", j.g_up, riem)
+        assert np.max(np.abs(upup - j.riemann_upup)) < 1e-6
 
     def test_contravariant_input_round_trip(self):
-        # contravariant polar metric gives the same geometry
-        g_up = MetricField.diagonal(
-            [expr.parse("1", 2), expr.parse("1/u1^2", 2)], CONTRAVARIANT
-        )
-        j_up = geometry_jet(g_up, [2.0, 0.7])
-        j_down = geometry_jet(polar_covariant(), [2.0, 0.7])
-        assert j_up.gamma_mixed == pytest.approx(j_down.gamma_mixed)
-        assert j_up.g_down == pytest.approx(j_down.g_down)
+        # g^{ij} = diag(1, u1^-2) has the lower entries diag(1, u1^2)
+        p = [2.0, 0.7]
+        j = geometry_jet(polar(), p)
+        lower = expr.parse("u1^2", 2).eval_jet(p, 1)
+        assert j.g_down == pytest.approx(np.diag([1.0, lower.value]))
+        for k in range(2):
+            assert j.dg_down[k] == pytest.approx(
+                np.diag([0.0, lower.grad[k]]), abs=1e-15)
 
 
-def parent_geometry(V, d, d2, variance):
+def parent_geometry(V, d, d2):
     """The covariant route, kept as an independent reference: differentiate
-    the inverse twice, take Gamma^i_{jk} from the covariant partials and
-    raise the indices of Gamma and R."""
-    W = np.linalg.inv(V)
-    Wk, dk = W[..., None, :, :], d[..., :, None, :, :]
-    dW = -Wk @ d @ Wk
-    Wkl, dWl = Wk[..., None, :, :], dW[..., None, :, :, :]
-    d2W = -(dWl @ dk @ Wkl + Wkl @ d2 @ Wkl + Wkl @ dk @ dWl)
-    if variance == CONTRAVARIANT:
-        up, dup, down, ddown, d2down = V, d, W, dW, d2W
-    else:
-        up, dup, down, ddown, d2down = W, dW, V, d, d2
+    the inverse of the contravariant entries twice, take Gamma^i_{jk} from
+    the covariant partials and raise the indices of Gamma and R."""
+    up, dup = V, d
+    down = np.linalg.inv(V)
+    Wk, dk = down[..., None, :, :], d[..., :, None, :, :]
+    ddown = -Wk @ d @ Wk
+    Wkl, dWl = Wk[..., None, :, :], ddown[..., None, :, :, :]
+    d2down = -(dWl @ dk @ Wkl + Wkl @ d2 @ Wkl + Wkl @ dk @ dWl)
     bracket = (np.einsum("...jsk->...sjk", ddown)
                + np.einsum("...kjs->...sjk", ddown) - ddown)
     gamma_mixed = 0.5 * np.einsum("...is,...sjk->...ijk", up, bracket)
@@ -176,7 +184,6 @@ def parent_geometry(V, d, d2, variance):
     return {
         "g_down": down, "dg_down": ddown, "gamma_mixed": gamma_mixed,
         "gamma_contra": np.einsum("...is,...jsk->...ijk", up, gamma_mixed),
-        "riemann_mixed": riemann_mixed,
         "riemann_upup": np.einsum("...is,...jskl->...ijkl", up,
                                   riemann_mixed)}
 
@@ -201,12 +208,12 @@ class TestContravariantKernel:
     polar metric is flat, R = 0 up to rounding)."""
 
     @pytest.mark.parametrize("source", [
-        polar_covariant(), nondiagonal_3d(), exp_2d(),
+        polar(), nondiagonal_3d(), exp_2d(),
         complex_members(exp_2d), complex_members(nondiagonal_3d)])
     def test_matches_covariant_route(self, source):
         pts = points(source.dim)
         got = geometry_jet(source, pts)
-        ref = parent_geometry(*source.entry_jets(pts, 2), source.variance)
+        ref = parent_geometry(*source.entry_jets(pts, 2))
         assert got.riemann_upup.shape[:-4] == (
             (5, 4) if isinstance(source, PencilMembers) else (4,))
         for name, want in ref.items():
@@ -229,6 +236,8 @@ class TestContravariantKernel:
     def test_no_second_partials_of_the_inverse_are_kept(self):
         names = {f.name for f in fields(GeometryJet)}
         assert not {"d2g_up", "d2g_down"} & names
+        # nor R^i_{jkl}: the verdicts read R^{ij}_{kl} only
+        assert "riemann_mixed" not in names
 
 
 class TestAffinorAndObstructions:
@@ -334,9 +343,10 @@ class TestPencilEigenvalues:
             with pytest.raises(DegenerateMetric):
                 pencil_eigenvalues(g1, g2, [0.0, 1.0])
 
-    def test_covariant_g2_read_as_its_lower_entries(self):
+    def test_constant_g2_inverted(self):
+        # roots of g1 g2^{-1}, g2^{ij} = diag(2, 4)
         g1 = MetricField.diagonal([expr.parse("u1", 2), expr.parse("u2", 2)])
-        g2 = MetricField.from_constant(np.diag([0.5, 0.25]), COVARIANT)
+        g2 = MetricField.from_constant(np.diag([2.0, 4.0]))
         roots, _ = pencil_eigenvalues(g1, g2, [0.7, 2.0])
         assert roots == pytest.approx(np.array([0.35, 0.5]))
 
@@ -354,7 +364,7 @@ class TestBatchContract:
     """A batch of points gives the stack of the single-point results, bit
     for bit, with the batch axes leading."""
 
-    @pytest.mark.parametrize("make", [nondiagonal_3d, polar_covariant])
+    @pytest.mark.parametrize("make", [nondiagonal_3d, polar])
     def test_geometry_jet(self, make):
         g = make()
         pts = points(g.dim)
@@ -369,7 +379,7 @@ class TestBatchContract:
 
     @pytest.mark.parametrize("pair", [
         (nondiagonal_3d(), nondiagonal_3d(shift=1.5)),
-        (polar_covariant(), MetricField.from_upper(
+        (polar(), MetricField.from_upper(
             {(0, 0): expr.parse("2+u2", 2), (0, 1): expr.parse("u1*u2", 2),
              (1, 1): expr.parse("3+u1^2", 2)}, CONTRAVARIANT)),
     ])

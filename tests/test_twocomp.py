@@ -130,6 +130,9 @@ class TestVerdicts:
             jet = real(self, point, order)
             if self is m.F:
                 jet.grad = np.full_like(jet.grad, np.nan)
+            elif isinstance(self.ast, expr.Stack):  # check_sys: b1, b2, F
+                jet.grad = jet.grad.copy()
+                jet.grad[self.ast.fields.index(m.F)] = np.nan
             return jet
 
         monkeypatch.setattr(expr.ScalarField, "eval_jet", nan_grad)
@@ -140,13 +143,27 @@ class TestVerdicts:
 
 
 class TestBatchedEvaluation:
-    def test_each_field_evaluated_once(self, count_calls):
+    def test_each_field_evaluated_once(self, count_calls, monkeypatch):
         calls = count_calls(expr.ScalarField, "eval_jet")
         m = log_model(0.5)
-        check_sys(m, PTS)
+        assert m.b1 is m.b2
+        nodes = []
+        real = expr._eval_node
+
+        def counting(node, ev):
+            nodes.append(node)
+            return real(node, ev)
+
+        monkeypatch.setattr(expr, "_eval_node", counting)
+        sys_check = check_sys(m, PTS)
         check_lequa(m, PTS)
         assert len(PTS) == 10
-        assert len(calls) == 6  # b1, b2, F for sys; F, f1, f2 for lequa
+        # one stacked call of b1, b2, F for sys; F, f1, f2 for lequa
+        assert len(calls) == 4
+        assert calls[0].ast.fields == (m.b1, m.b2, m.F)
+        # b1 = b2 is one field: the subtree under its sqrt is evaluated once
+        assert sum(n is m.b1.ast.arg for n in nodes) == 1
+        assert sys_check.max_residuals["sys"] < 1e-12
 
 
 class TestAssembly:

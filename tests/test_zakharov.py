@@ -11,7 +11,9 @@ from flatpencil.errors import SingularOperator, TruncationWarning
 from flatpencil.lame import RotationCoeffs, lame_residuals
 from flatpencil.zakharov import (
     DressingProblem,
+    KernelGrid,
     _row_operator,
+    _row_weights,
     _tabulate,
     build_kernel,
     check_phi_pdes,
@@ -141,8 +143,14 @@ class TestBuildKernel:
 
 class TestReductionRelation:
     def test_grid_route_on_raw_kernel(self):
-        k = build_kernel(gaussian_problem(m=65))
-        assert check_reduction_relation(k) < 1e-2  # O(h^2) differences
+        # the tabulated kernel satisfies the relation identically; a sign
+        # slip in F_ji = -Phi_y would leave a residual of order one
+        p = gaussian_problem(m=65)
+
+        def F(s, sp):
+            return _tabulate(p.Phi, p.u, np.array([s, sp]), 1)[0][:, :, 0, 1]
+
+        assert check_reduction_relation(F) < 1e-10
 
     def test_callable_route_exact_kernel(self):
         # F_12 = s'-u2, F_21 = -(s'-u1): residual vanishes identically
@@ -255,10 +263,15 @@ class TestIntegralEquation:
         assert np.nanmax(np.abs(sol.values - k.values)) < 1e-6
 
     def test_singular_operator_raised(self):
-        k = build_kernel(gaussian_problem(m=17))
-        with pytest.raises(SingularOperator) as exc:
-            solve_integral_equation(k, rows=[0], cond_limit=1.0)
+        # N = 1 and F = 1/sum(w): row 0's matrix I - F w^T maps the
+        # constants to zero
+        nodes = np.linspace(0.0, 1.0, 17)
+        F = np.full((1, 1, 17, 17), 1.0 / _row_weights(nodes, 0).sum())
+        with pytest.raises(SingularOperator) as exc, \
+                pytest.warns(TruncationWarning):
+            solve_integral_equation(KernelGrid(F, nodes), rows=[0])
         assert exc.value.row == 0
+        assert not exc.value.cond <= zakharov.COND_LIMIT
 
     def test_truncation_warning_for_slow_decay(self):
         phi = {(0, 1): expr.parse("u1*u2", 2)}
