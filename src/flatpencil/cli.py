@@ -25,9 +25,11 @@ import numpy as np
 
 from . import __version__
 from .compat import (
+    _ALMOST,
     DEFAULT_TOL,
     MetricPair,
     _Worst,
+    _below,
     _relative,
     check_compatible,
     check_flat_pencil,
@@ -165,14 +167,10 @@ def _resolve(text, expressions):
 def _sampling(job, dim, seed):
     cfg = _read(job, "sampling", {}, lambda v: isinstance(v, dict),
                 "an object")
-    return sample_points(
-        dim,
-        _positive_int(cfg, "count", 10),
-        seed=seed,
-        lo=_real(cfg, "lo", 0.2),
-        hi=_real(cfg, "hi", 2.0),
-        min_sep=_real(cfg, "min_sep", 0.0),
-    )
+    box = {key: _real(cfg, key, None) for key in ("lo", "hi", "min_sep")
+           if key in cfg}
+    return sample_points(dim, _positive_int(cfg, "count", 10), seed=seed,
+                         **box)
 
 
 def _lambdas(job, seed):
@@ -253,8 +251,9 @@ def _run_pair_job(job, manifest, seed, tol):
             "almost_compatible", "compatible", "flat_pencil", "nonsingular")}
         return verdicts, rep.max_residuals, rep.witnesses
     comp = check_compatible(pair)
-    almost = all(comp.max_residuals[k] < pair.tol for k in ("nijenhuis", "M"))
-    verdicts = {"almost_compatible": almost, "compatible": comp.passed}
+    verdicts = {"almost_compatible": _below(comp.max_residuals, _ALMOST,
+                                            pair.tol),
+                "compatible": comp.passed}
     return verdicts, comp.max_residuals, comp.witnesses
 
 
@@ -319,8 +318,8 @@ def _run_dressing_job(job, manifest, seed, tol):
         _read(job, "m", 64, _is_int, "an integer"), f
     )
     kernel = build_kernel(p)
-    rows = _read(job, "rows", [0], lambda v: isinstance(v, list),
-                 "a list of node indices")
+    rows = _read(job, "rows", [0], lambda v: isinstance(v, list) and v,
+                 "a non-empty list of node indices")
     sol = solve_integral_equation(kernel, rows=rows)
     beta = extract_beta(sol)
     if "out_beta" in job:

@@ -29,7 +29,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import DegenerateMetric
-from .expr import constant
+from .expr import constant, stack
 from .geometry import (
     CONTRAVARIANT,
     MetricField,
@@ -330,8 +330,8 @@ def _bracket_metric(eta_up, X, c=0.0):
 def _bracket_hessians(eta_up, X, point):
     """H[..., k, s, p] = d_s d_p X^k and eta^{is} H[..., j, k, s], the
     connection coefficients of the bracket metric, at one point (n,) or a
-    batch (..., n)."""
-    H = np.stack([x.eval_jet(point, 2).hess for x in X], axis=-3)
+    batch (..., n); X is evaluated in one call."""
+    H = np.stack(list(stack(X).eval_jet(point, 2).hess), axis=-3)
     return H, np.einsum("is,...jks->...ijk", eta_up, H)
 
 

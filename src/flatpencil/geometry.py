@@ -253,14 +253,13 @@ def degenerate(V):
     return absdet <= DEGENERACY_TOL * scale**n, absdet
 
 
-def _checked_inverse(V, point):
-    """inv(V) of shape (..., n, n); DegenerateMetric names the first point
-    in batch order whose V is degenerate, and its batch index."""
+def _check_nondegenerate(V, point):
+    """DegenerateMetric naming the first point in batch order whose V
+    (..., n, n) is degenerate, and its batch index."""
     bad, absdet = degenerate(V)
     if bad.any():
         k = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
         raise DegenerateMetric(np.asarray(point)[k], absdet[k], index=k)
-    return np.linalg.inv(V)
 
 
 def _product_jet(a, da, b, db):
@@ -282,7 +281,8 @@ def _geometry_from_entries(V, d, d2, point):
     Gamma^i_{sk} Gamma^{sj}_l (compatibility cancels the terms symmetric
     in (k, l)).  The inverse enters through g_{ij} and d_k g_{ij} only.
     """
-    down = _checked_inverse(V, point)
+    _check_nondegenerate(V, point)
+    down = np.linalg.inv(V)
     # d_k g_{ij} = -g_{is} d_k g^{st} g_{tj}, with k as a matmul batch axis
     down_k = down[..., None, :, :]
     ddown = -down_k @ d @ down_k
@@ -337,8 +337,8 @@ def affinor_from_jets(j1, j2):
 
 def affinor_at(g1, g2, point):
     """v^i_j = g1^{is} g_{2,sj} and its first partials at a point or batch."""
-    pt = np.asarray(point, dtype=complex)
-    return affinor_from_jets(geometry_jet(g1, pt), geometry_jet(g2, pt))
+    jets = geometry_jet(PencilMembers(g1, g2, [], ends=True), point)
+    return affinor_from_jets(jets[0], jets[1])
 
 
 def nijenhuis(a):
@@ -369,8 +369,8 @@ def tensor_M_from_jets(j1, j2):
 
 def tensor_M(g1, g2, point):
     """Obstruction tensor M^{ijk} built from both contravariant connections."""
-    pt = np.asarray(point, dtype=complex)
-    return tensor_M_from_jets(geometry_jet(g1, pt), geometry_jet(g2, pt))
+    jets = geometry_jet(PencilMembers(g1, g2, [], ends=True), point)
+    return tensor_M_from_jets(jets[0], jets[1])
 
 
 def roots_and_gap(v):
@@ -390,8 +390,9 @@ def roots_and_gap(v):
 
 
 def pencil_eigenvalues(g1, g2, point):
-    """Roots of det(g1 - lambda g2) = 0, sorted by (Re, Im), plus min gap."""
+    """Roots of det(g1 - lambda g2) = 0, sorted by (Re, Im), plus min gap;
+    g1 and g2 are evaluated in one call, checked, and only g2 inverted."""
     pt = np.asarray(point, dtype=complex)
-    up1 = g1.values(pt)
-    _checked_inverse(up1, pt)
-    return roots_and_gap(up1 @ _checked_inverse(g2.values(pt), pt))
+    V = PencilMembers(g1, g2, [], ends=True).entry_jets(pt, 0)[0]
+    _check_nondegenerate(V, np.broadcast_to(pt, V.shape[:-1]))
+    return roots_and_gap(V[0] @ np.linalg.inv(V[1]))

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .expr import ScalarField, constant, embed, sqrt
+from .expr import ScalarField, constant, embed, sqrt, stack
 from .geometry import MetricField
 
 FD_STEP = 1e-3  # step of the finite-difference reference route only
@@ -45,7 +45,7 @@ class RotationCoeffs:
     jet(points) returns both at once for a point (N,) or points (P, N), so
     that a source sharing work between value and partials pays for it once.
     A source's own jet takes one point; the field route takes the whole
-    batch, so each beta entry is evaluated once over all the points.
+    batch, so its beta entries are evaluated in one call over all points.
     """
 
     dim: int
@@ -70,17 +70,18 @@ class RotationCoeffs:
     @staticmethod
     def from_fields(beta_fields):
         n = len(beta_fields)
+        rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+        off = [beta_fields[i][j] for i, j in zip(rows, cols)]
+        entries = stack(off) if off else None
 
         def jet(points):
             lead = points.shape[:-1]
             val = np.zeros(lead + (n, n), dtype=complex)
             der = np.zeros(lead + (n, n, n), dtype=complex)
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        entry = beta_fields[i][j].eval_jet(points, 1)
-                        val[..., i, j] = entry.value
-                        der[..., :, i, j] = entry.grad
+            if entries is not None:
+                value, grad = entries.eval_jet(points, 1).slots()
+                val[..., rows, cols] = np.moveaxis(value, 0, -1)
+                der[..., rows, cols] = np.moveaxis(grad, 0, -1)
             return val, der
 
         return RotationCoeffs(n, lambda u: jet(u)[0], jet, beta_fields)
@@ -141,7 +142,7 @@ def _divergence(B, D, fv, half_fd):
 
 def lame_residuals(b, points, f=None):
     """(system, divergence), or with eigenvalue functions f also the
-    reduction: all three residuals from one b.jet call.
+    reduction: all three from one b.jet call (and one call for the f^i).
 
     System equations: d beta_ij / du^k = beta_ik beta_kj for distinct i,j,k
     (vacuous at N=2).  Reduction, for i < j:
@@ -158,9 +159,9 @@ def lame_residuals(b, points, f=None):
     ones = np.ones(B.shape[:2])
     res = [system[:, outside & off], _divergence(B, D, ones, 0 * ones)[:, off]]
     if f is not None:
-        jets = [fi.eval_jet(pts[:, i:i + 1], 1) for i, fi in enumerate(f)]
-        fv = np.stack([j.value for j in jets], axis=-1)  # (P, N)
-        half_fd = 0.5 * np.stack([j.grad[:, 0] for j in jets], axis=-1)
+        fj = stack([embed(g, i, n) for i, g in enumerate(f)]).eval_jet(pts, 1)
+        fv = fj.value.T  # (P, N)
+        half_fd = 0.5 * np.einsum("ipi->pi", fj.grad)  # (f^i)'(u^i) / 2
         res.append(_divergence(B, D, fv, half_fd)[:, np.triu(off)])
     return tuple(float(np.max(np.abs(r), initial=0.0)) for r in res)
 

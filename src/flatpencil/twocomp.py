@@ -23,7 +23,7 @@ from .compat import (
     check_constant_curvature,
 )
 from .errors import DomainError
-from .expr import ScalarField, constant, exp, parse, stack
+from .expr import ScalarField, constant, embed, exp, parse, stack
 from .geometry import CONTRAVARIANT, MetricField, geometry_jet
 from .lame import diagonal_pair, weighted_diagonal
 
@@ -71,16 +71,14 @@ def check_lequa(m, points, tol=DEFAULT_TOL):
     """Max residual of the flat-pencil condition on F:
 
     2 F_{12} (f^1 - f^2) + F_2 (f^1)' - F_1 (f^2)' = 0.
+
+    F, f^1(u^1) and f^2(u^2) are evaluated in one call.
     """
     pts = np.atleast_2d(np.asarray(points))
-    jF = m.F.eval_jet(pts, 2)
-    f1 = m.f1.eval_jet(pts[:, :1], 1)
-    f2 = m.f2.eval_jet(pts[:, 1:], 1)
-    r = np.abs(
-        2 * jF.hess[:, 0, 1] * (f1.value - f2.value)
-        + jF.grad[:, 1] * f1.grad[:, 0]
-        - jF.grad[:, 0] * f2.grad[:, 0]
-    )
+    jet = stack([m.F, embed(m.f1, 0, 2), embed(m.f2, 1, 2)]).eval_jet(pts, 2)
+    (_, f1, f2), (dF, df1, df2), (hF, _, _) = jet.slots()
+    r = np.abs(2 * hF[:, 0, 1] * (f1 - f2) + dF[:, 1] * df1[:, 0]
+               - dF[:, 0] * df2[:, 1])
     w = _Worst()
     w.update("lequa", r, pts)
     return CheckResult(w.res["lequa"] < tol, w.res, w.wit)

@@ -201,9 +201,12 @@ class TestLameAndTwoCompJobs:
                      "--out", str(tmp_path / "out.ndjson")]) == 0
         beta = rotations[0].beta_fields
         entries = [beta[0][1], beta[1][0]]
-        # one batched evaluation per entry: the system, divergence and
-        # reduction residuals share one jet of beta
-        assert sum(any(c is e for e in entries) for c in calls) == 2
+        # one batched evaluation of all the entries: the system, divergence
+        # and reduction residuals share one jet of beta
+        hits = [c for c in calls if isinstance(c.ast, expr.Stack)
+                and any(x is e for x in c.ast.fields for e in entries)]
+        assert len(hits) == 1 and hits[0].ast.fields == tuple(entries)
+        assert not any(c is e for c in calls for e in entries)
 
 
 class TestResidualSideFailsClosed:
@@ -237,8 +240,10 @@ class TestResidualSideFailsClosed:
 
         def nan_hessian(self, point, order=3):
             jet = real(self, point, order)
-            if self.source_text == "0.5*ln(u1-u2)" and order == 2:
-                jet.hess = np.full_like(jet.hess, np.nan)
+            texts = [f.source_text for f in getattr(self.ast, "fields", ())]
+            if "0.5*ln(u1-u2)" in texts and order == 2:  # F in a stack
+                jet.hess = jet.hess.copy()
+                jet.hess[texts.index("0.5*ln(u1-u2)")] = np.nan
             return jet
 
         monkeypatch.setattr(ScalarField, "eval_jet", nan_hessian)
@@ -537,6 +542,7 @@ INPUT_ERRORS = {
                            "'min_sep'"),
     "lame-H-not-list": (_one_job(**{**LAME_JOB, "H": 3}), "'H'"),
     "dressing-rows-not-list": (_one_job(**DRESSING_JOB, rows=3), "'rows'"),
+    "dressing-rows-empty": (_one_job(**DRESSING_JOB, rows=[]), "'rows'"),
     "dressing-m-not-integer": (_one_job(**{**DRESSING_JOB, "m": "x"}),
                                "'m'"),
     "dressing-s-min-not-number": (_one_job(**DRESSING_JOB, s_min="x"),
@@ -587,6 +593,14 @@ class TestInputErrors:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert named in lines[0]
         assert captured.out == ""
+
+
+class TestSampling:
+    @pytest.mark.parametrize("box", [{}, {"lo": 0.5},
+                                     {"hi": 1.5, "min_sep": 0.1}])
+    def test_box_defaults_are_sample_points_own(self, box):
+        got = cli._sampling({"sampling": {"count": 4, **box}}, 3, 5)
+        assert got.tobytes() == sample_points(3, 4, 5, **box).tobytes()
 
 
 class TestParser:

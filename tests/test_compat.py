@@ -604,15 +604,15 @@ class TestBracketMetric:
         # g2 is degenerate at the origin, the first point, so the full check
         # raises there after one order-2 evaluation of g2's 3 entries (one
         # call for all three); the fallback then evaluates them once at
-        # order 0 over all points (the degeneracy masks), h's Hessians once
-        # (b), and g2's entries at order 2 once per point for the kept
-        # members' geometry
+        # order 0 over all points (the degeneracy masks), h's Hessians in
+        # one call (b), and g2's entries at order 2 once per point for the
+        # kept members' geometry
         calls = count_calls(expr.ScalarField, "eval_jet")
         eta = np.array([[0.0, 1.0], [1.0, 0.0]])
         h = [expr.parse("u1^2*u2", 2), expr.parse("u2^2", 2)]
         pts = np.vstack([[[0.0, 0.0]], PTS, [[1.0, 0.5]]])
         mokhov_bracket_metric(eta, h, pts)
-        assert len(calls) == 1 + 1 + 2 + len(pts)
+        assert len(calls) == 1 + 1 + 1 + len(pts)
 
     def test_random_h_matches_direct_check(self):
         eta = np.eye(2)
@@ -622,6 +622,25 @@ class TestBracketMetric:
             MetricPair(MetricField.from_constant(np.eye(2)), g2, PTS)
         )
         assert r.passed == direct.passed
+
+
+class TestBracketHessiansOneCall:
+    """_bracket_hessians evaluates every component of X in one call, bit
+    equal to one call per component when all are real-closed or none is."""
+
+    @pytest.mark.parametrize("texts", [("u1^2*u2", "exp(u1-u2)+u2^3"),
+                                       ("sqrt(1+u1*u2)", "ln(2+u1)*u2")])
+    @pytest.mark.parametrize("pts", [PTS[0], PTS])
+    def test_one_call_bit_equal(self, texts, pts, count_calls):
+        X = [expr.parse(t, 2) for t in texts]
+        eta_up = compat._eta_up(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        H_ref = np.stack([x.eval_jet(pts, 2).hess for x in X], axis=-3)
+        D_ref = np.einsum("is,...jks->...ijk", eta_up, H_ref)
+        calls = count_calls(expr.ScalarField, "eval_jet")
+        H, D = compat._bracket_hessians(eta_up, X, pts)
+        assert len(calls) == 1
+        assert H.tobytes() == H_ref.tobytes()
+        assert D.tobytes() == D_ref.tobytes()
 
 
 class TestAssociativity:

@@ -14,12 +14,15 @@ from flatpencil.geometry import (
     MetricField,
     PencilMembers,
     affinor_at,
+    affinor_from_jets,
     degenerate,
     geometry_jet,
     linear_combination,
     nijenhuis,
     pencil_eigenvalues,
+    roots_and_gap,
     tensor_M,
+    tensor_M_from_jets,
 )
 
 
@@ -349,6 +352,47 @@ class TestPencilEigenvalues:
         g2 = MetricField.from_constant(np.diag([2.0, 4.0]))
         roots, _ = pencil_eigenvalues(g1, g2, [0.7, 2.0])
         assert roots == pytest.approx(np.array([0.35, 0.5]))
+
+
+class TestPairHelpersEvaluateOnce:
+    """affinor_at, tensor_M and pencil_eigenvalues evaluate the entries of
+    g1 and g2 in one eval_jet call, bit equal to one call per metric."""
+
+    PAIR = (nondiagonal_3d(), nondiagonal_3d(shift=1.5))
+
+    @pytest.mark.parametrize("batch", [(), (4,), (2, 2)])
+    def test_affinor_and_M(self, batch, count_calls):
+        g1, g2 = self.PAIR
+        pts = np.random.default_rng(7).uniform(0.4, 1.2, batch + (3,))
+        j1, j2 = geometry_jet(g1, pts), geometry_jet(g2, pts)
+        want_a, want_M = affinor_from_jets(j1, j2), tensor_M_from_jets(j1, j2)
+        calls = count_calls(expr.ScalarField, "eval_jet")
+        a = affinor_at(g1, g2, pts)
+        assert len(calls) == 1
+        M = tensor_M(g1, g2, pts)
+        assert len(calls) == 2
+        assert a.v.tobytes() == want_a.v.tobytes()
+        assert a.dv.tobytes() == want_a.dv.tobytes()
+        assert M.tobytes() == want_M.tobytes()
+
+    def test_pencil_eigenvalues(self, count_calls):
+        g1, g2 = self.PAIR
+        p = np.array([0.5, 0.9, 1.1])
+        roots, gap = roots_and_gap(g1.values(p) @ np.linalg.inv(g2.values(p)))
+        calls = count_calls(expr.ScalarField, "eval_jet")
+        inverses = count_calls(np.linalg, "inv")
+        got = pencil_eigenvalues(g1, g2, p)
+        # g1 is checked by the degeneracy rule, only g2 is inverted
+        assert len(calls) == 1 and len(inverses) == 1
+        assert got[0].tobytes() == roots.tobytes() and got[1] == gap
+
+    def test_degenerate_g1_raises_without_an_inverse(self, count_calls):
+        coord = MetricField.diagonal([expr.parse("u1", 2), expr.parse("1", 2)])
+        eye = MetricField.from_constant(np.eye(2))
+        inverses = count_calls(np.linalg, "inv")
+        with pytest.raises(DegenerateMetric) as exc:
+            pencil_eigenvalues(coord, eye, [0.0, 1.0])
+        assert inverses == [] and np.array_equal(exc.value.point, [0, 1])
 
 
 class TestLinearCombination:

@@ -188,7 +188,17 @@ class TestBatchedEvaluation:
         b = rotation_from_H(polar())
         jets = count_calls(expr.ScalarField, "eval_jet")
         b.jet(PTS)
-        assert len(jets) == 2  # the two off-diagonal entries at N = 2
+        # the two off-diagonal entries at N = 2, each once, in one call
+        assert len(jets) == 1
+        assert jets[0].ast.fields == (b.beta_fields[0][1], b.beta_fields[1][0])
+
+    def test_one_variable_source_has_no_entries_to_evaluate(self,
+                                                            count_calls):
+        b = RotationCoeffs.from_fields([[expr.parse("u1", 1)]])
+        jets = count_calls(expr.ScalarField, "eval_jet")
+        B, D = b.jet(PTS[:, :1])
+        assert jets == [] and not B.any() and not D.any()
+        assert B.shape == (8, 1, 1) and D.shape == (8, 1, 1, 1)
 
     def test_reduction_evaluates_each_f_once(self, count_calls):
         pts = sample_points(2, 10, seed=3, lo=0.5, hi=2.0)
@@ -196,8 +206,9 @@ class TestBatchedEvaluation:
         jets = count_calls(expr.ScalarField, "eval_jet")
         partials = count_calls(expr.ScalarField, "partial")
         reduction_residual(b, F_ID, pts)
-        # N(N-1) entries from one batched b.jet, plus one call per f^i
-        assert len(jets) == 2 + 2
+        # the N(N-1) entries in one batched b.jet, the f^i in one more call
+        assert len(jets) == 1 + 1
+        assert [len(j.ast.fields) for j in jets] == [2, 2]
         assert partials == []
 
 
@@ -274,6 +285,17 @@ class TestOnePass:
         assert reduction_residual(b, f, pts).hex() == ref[2].hex()
         # the system equations are vacuous at N = 2; no equation holds here
         assert min(ref[1:]) > 1e-3 and (ref[0] > 1e-3) == (n > 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equals_parent_with_complex_f(self, n):
+        # every f^i complex-closed: the stack of them computes in complex
+        # arithmetic, as each of them does on its own
+        b, _ = field_source(n)
+        f = [expr.parse(t, 1) for t in
+             ("sqrt(u1+3)", "ln(2*u1+1)", "sqrt(u1)*u1", "(0.5+1i)*u1")[:n]]
+        pts = sample_points(n, 5, seed=n, lo=0.4, hi=1.2)
+        ref = parent_residuals(b, f, pts)
+        assert hexes(lame_residuals(b, pts, f)) == hexes(ref)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_equals_parent_on_dressed_sources(self, n):

@@ -158,12 +158,45 @@ class TestBatchedEvaluation:
         sys_check = check_sys(m, PTS)
         check_lequa(m, PTS)
         assert len(PTS) == 10
-        # one stacked call of b1, b2, F for sys; F, f1, f2 for lequa
-        assert len(calls) == 4
+        # one stacked call of b1, b2, F for sys; one of F, f1, f2 for lequa
+        assert len(calls) == 2
         assert calls[0].ast.fields == (m.b1, m.b2, m.F)
+        assert calls[1].ast.fields[0] is m.F and len(calls[1].ast.fields) == 3
         # b1 = b2 is one field: the subtree under its sqrt is evaluated once
         assert sum(n is m.b1.ast.arg for n in nodes) == 1
         assert sys_check.max_residuals["sys"] < 1e-12
+
+
+class TestLequaOneCall:
+    """check_lequa evaluates F, f^1(u^1) and f^2(u^2) in one call, bit equal
+    to one call per field when all three are real-closed or none is."""
+
+    @staticmethod
+    def per_field(m, pts):
+        """The lequa residual per point, each field evaluated on its own."""
+        jF = m.F.eval_jet(pts, 2)
+        f1 = m.f1.eval_jet(pts[:, :1], 1)
+        f2 = m.f2.eval_jet(pts[:, 1:], 1)
+        return np.abs(2 * jF.hess[:, 0, 1] * (f1.value - f2.value)
+                      + jF.grad[:, 1] * f1.grad[:, 0]
+                      - jF.grad[:, 0] * f2.grad[:, 0])
+
+    @pytest.mark.parametrize("texts", [
+        ("u1*u2^2+exp(u1-u2)", "u1^2+1", "3*u1/(1+u1)"),
+        ("ln(1+u1*u2)", "sqrt(u1+1)", "ln(u1+2)"),
+    ])
+    def test_one_call_bit_equal(self, texts, count_calls):
+        F, f1, f2 = texts
+        b = expr.parse("1+u1*u2", 2)
+        m = TwoCompModel(b, b, expr.parse(F, 2), -1, 1, expr.parse(f1, 1),
+                         expr.parse(f2, 1))
+        want = self.per_field(m, PTS)
+        calls = count_calls(expr.ScalarField, "eval_jet")
+        r = check_lequa(m, PTS, tol=1e3)
+        assert len(calls) == 1
+        assert r.max_residuals["lequa"].hex() == float(np.max(want)).hex()
+        assert np.array_equal(r.witnesses["lequa"], PTS[np.argmax(want)])
+        assert r.max_residuals["lequa"] > 1e-3
 
 
 class TestAssembly:
