@@ -128,11 +128,16 @@ def _build_metric(job, key, manifest, dim):
     if not isinstance(name, str) or name not in metrics:
         raise ManifestError(f"metric {name!r} is not defined")
     spec, expressions = metrics[name], _expressions(manifest)
-    if not isinstance(spec, dict):
-        spec = {}
-    if "identity" in spec:
+    kinds = [k for k in ("identity", "diagonal", "entries")
+             if isinstance(spec, dict) and k in spec]
+    if len(kinds) != 1:
+        raise ManifestError(f"metric {name!r}: need exactly one of "
+                            "identity, diagonal or entries")
+    if kinds == ["identity"]:
+        if spec["identity"] is not True:
+            raise ManifestError(f"metric {name!r}: identity must be true")
         return MetricField.from_constant(np.eye(dim))
-    if "diagonal" in spec:
+    if kinds == ["diagonal"]:
         diagonal = spec["diagonal"]
         if not isinstance(diagonal, list) or len(diagonal) != dim:
             raise ManifestError(
@@ -140,22 +145,20 @@ def _build_metric(job, key, manifest, dim):
         return MetricField.diagonal(
             [_parse_field(_resolve(t, expressions), dim, name)
              for t in diagonal], CONTRAVARIANT)
-    if "entries" in spec:
-        rows = spec["entries"]
-        if not (isinstance(rows, list) and len(rows) == dim
-                and all(isinstance(r, list) and len(r) == dim for r in rows)):
-            raise ManifestError(
-                f"metric {name!r}: entries must be a {dim}x{dim} matrix")
-        upper = {}
-        for i in range(dim):
-            for j in range(i, dim):
-                if rows[i][j] != rows[j][i]:
-                    raise ManifestError(f"metric {name!r} not symmetric")
-                upper[(i, j)] = _parse_field(
-                    _resolve(rows[i][j], expressions), dim, name
-                )
-        return MetricField.from_upper(upper, CONTRAVARIANT)
-    raise ManifestError(f"metric {name!r}: need identity, diagonal or entries")
+    rows = spec["entries"]
+    if not (isinstance(rows, list) and len(rows) == dim
+            and all(isinstance(r, list) and len(r) == dim for r in rows)):
+        raise ManifestError(
+            f"metric {name!r}: entries must be a {dim}x{dim} matrix")
+    upper = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            if rows[i][j] != rows[j][i]:
+                raise ManifestError(f"metric {name!r} not symmetric")
+            upper[(i, j)] = _parse_field(
+                _resolve(rows[i][j], expressions), dim, name
+            )
+    return MetricField.from_upper(upper, CONTRAVARIANT)
 
 
 def _resolve(text, expressions):
@@ -312,6 +315,8 @@ def _run_dressing_job(job, manifest, seed, tol):
     u = _read(job, "u", None,
               lambda v: isinstance(v, list) and all(map(_is_real, v)),
               "a list of numbers")
+    out_beta = _read(job, "out_beta", None, lambda v: v is None or (
+        isinstance(v, str) and v), "a non-empty file name")
     p = DressingProblem(
         dim, phi, np.asarray(u, dtype=float),
         _real(job, "s_min", 0.0), _real(job, "s_max", 1.0),
@@ -322,8 +327,11 @@ def _run_dressing_job(job, manifest, seed, tol):
                  "a non-empty list of node indices")
     sol = solve_integral_equation(kernel, rows=rows)
     beta = extract_beta(sol)
-    if "out_beta" in job:
-        write_beta_grid(job["out_beta"], beta, p.s_min, p.s_max)
+    if out_beta is not None:
+        try:
+            write_beta_grid(out_beta, beta, p.s_min, p.s_max)
+        except OSError as exc:
+            raise ManifestError(f"cannot write 'out_beta': {exc}") from exc
     verdicts = {"solved": True}
     residuals = {"condition_number": max(sol.cond.values())}
     return verdicts, residuals, {}
@@ -534,8 +542,6 @@ def _parser():
     run_p.add_argument("manifest")
     run_p.add_argument("--out", default=None)
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--parallel", action="store_true",
-                       help="accepted for compatibility; has no effect")
     run_p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     id_p = sub.add_parser("identities", help="random identity sweep")

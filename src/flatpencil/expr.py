@@ -10,13 +10,14 @@ A field is real-closed when its AST has no sqrt or ln node and no literal
 with a nonzero imaginary part.  A real-closed field at real points is
 evaluated in float64 from its variables to its slots; every other
 evaluation is complex128 throughout, with the principal branches of ln and
-sqrt.  The choice is made once per evaluation, never per operation, so no
-value is promoted from real to complex inside a tree: at a real u1,
-sqrt(-u1) is -1j because -(u1+0j) carries a -0 imaginary part.  Integer
-powers in float64 use the products of numpy's complex integer power, so a
-real-closed field gets the real parts of its complex evaluation bit for
-bit, apart from exp, sin and cos, whose real and complex routines may
-round differently.
+sqrt.  This dtype is the one arithmetic choice an evaluation makes, once,
+never per operation, so no value is promoted from real to complex inside a
+tree: at a real u1, sqrt(-u1) is -1j because -(u1+0j) carries a -0
+imaginary part.  Integer powers and 1/v go through one routine in both
+dtypes, binary powering with the products of numpy's complex integer
+power, so a real-closed field gets the real parts of its complex
+evaluation bit for bit, apart from exp, sin and cos, whose real and
+complex routines may round differently.
 
 A constant subtree evaluates to a 0-d array of the evaluation's dtype, not
 to batch-sized arrays of zero derivatives: ``jet + c`` touches only the
@@ -63,7 +64,6 @@ import collections
 import functools
 import itertools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -473,21 +473,12 @@ class Jet:
 # constant argument reads only phi.
 
 
-def _reciprocal_derivs(v):
-    yield 1.0 / v
-    yield -1.0 / v**2
-    yield 2.0 / v**3
-    yield -6.0 / v**4
-
-
-def _complex_power(v, e):
-    return v ** complex(e)
-
-
 def _int_power(v, e):
-    """v**e for an integer e by the products of numpy's complex integer
-    power: binary powering of |e|, then 1/x for e < 0.  A real v thus gets
-    the real part of (v+0j)**e bit for bit, which v**float(e) does not."""
+    """v**e for an integer e, in either dtype, by the products of numpy's
+    complex integer power: binary powering of |e|, then 1/x for e < 0.  A
+    real v thus gets the real part of (v+0j)**e bit for bit, which
+    v**float(e) does not; at a v off the real axis the result may differ
+    from numpy's in the last bits."""
     n = abs(e)
     if n == 0:
         return np.ones_like(v)
@@ -502,12 +493,12 @@ def _int_power(v, e):
     return 1.0 / acc if e < 0 else acc
 
 
-def _power_derivs(v, e, power=_complex_power):
-    yield power(v, e)
+def _power_derivs(v, e):
+    yield _int_power(v, e)
     coeff = 1.0
     for k in range(1, MAX_ORDER + 1):
         coeff *= e - (k - 1)
-        yield np.zeros_like(v) if coeff == 0 else coeff * power(v, e - k)
+        yield np.zeros_like(v) if coeff == 0 else coeff * _int_power(v, e - k)
 
 
 def _exp_derivs(v):
@@ -516,7 +507,7 @@ def _exp_derivs(v):
 
 def _ln_derivs(v):
     yield np.log(v)
-    yield from _reciprocal_derivs(v)
+    yield from _power_derivs(v, -1)
 
 
 def _sin_derivs(v):
@@ -554,22 +545,6 @@ _CALL_DERIVS = {
 }
 
 
-# The arithmetic of one evaluation, chosen once by ScalarField._arith:
-# dtype of every slot, a literal (a Python complex) as a Python number of
-# that dtype, a single point's value as a Python number, and the
-# derivatives of v**e and 1/v.  1/v in float64 is the power -1, whose
-# products and quotients are those that the complex 1/v, -1/v^2, 2/v^3,
-# -6/v^4 make of a real v.
-_Arith = collections.namedtuple(
-    "_Arith", "dtype literal scalar power_derivs reciprocal_derivs")
-
-_COMPLEX = _Arith(np.dtype(complex), complex, complex, _power_derivs,
-                  _reciprocal_derivs)
-_REAL = _Arith(np.dtype(float), operator.attrgetter("real"), float,
-               functools.partial(_power_derivs, power=_int_power),
-               functools.partial(_power_derivs, e=-1, power=_int_power))
-
-
 def _apply(a, derivs):
     """phi(a) from phi, phi', ...: a jet by the chain rule, or a constant."""
     return a.compose(derivs) if isinstance(a, Jet) else next(derivs)
@@ -579,20 +554,20 @@ def _value(a):
     return a.value if isinstance(a, Jet) else a
 
 
-def _reciprocal(a, arith):
+def _reciprocal(a):
     v = _value(a)
     if np.any(v == 0):
         raise DomainError("division by zero")
-    return _apply(a, arith.reciprocal_derivs(v))
+    return _apply(a, _power_derivs(v, -1))
 
 
-def _power(a, e, arith):
-    if e == 0:
-        return np.array(arith.literal(1 + 0j))
+def _power(a, e):
     v = _value(a)
+    if e == 0:
+        return np.ones((), v.dtype)
     if e < 0 and np.any(v == 0):
         raise DomainError("zero raised to a negative power")
-    return _apply(a, arith.power_derivs(v, e))
+    return _apply(a, _power_derivs(v, e))
 
 
 def _call(func, a, order):
@@ -647,22 +622,22 @@ def _structure(root):
 
 
 class _Evaluation:
-    """One eval_jet call: its point (as an array of the arithmetic's dtype),
-    order and arithmetic; ``memo`` maps the id of each shared node to [uses
-    left, result], and ``coords`` holds the jet of each coordinate index
-    read so far."""
+    """One eval_jet call: its point (a float64 or complex128 array, whose
+    dtype every slot takes) and order; ``memo`` maps the id of each shared
+    node to [uses left, result], and ``coords`` holds the jet of each
+    coordinate index read so far."""
 
-    __slots__ = ("point", "order", "arith", "memo", "coords")
+    __slots__ = ("point", "order", "memo", "coords")
 
-    def __init__(self, point, order, arith, shared):
-        self.point, self.order, self.arith = point, order, arith
+    def __init__(self, point, order, shared):
+        self.point, self.order = point, order
         self.memo = {key: [n, None] for key, n in shared.items()}
         self.coords = {}
 
 
 def _eval_node(node, ev):
     """Jet of `node` in the evaluation `ev`, or a 0-d array or numpy scalar
-    of ``ev.arith.dtype`` if the subtree is constant.
+    of the point's dtype if the subtree is constant.
 
     A shared subtree is evaluated once per evaluation and released at its
     last use; a coordinate's jet is built once.  A constant starts as a 0-d
@@ -693,13 +668,14 @@ def _eval_node(node, ev):
         elif node.op == "*":
             out = a * b
         else:
-            out = a * _reciprocal(b, ev.arith)
-    elif isinstance(node, Const):
-        out = np.array(ev.arith.literal(node.value))
+            out = a * _reciprocal(b)
+    elif isinstance(node, Const):  # in float64 its imaginary part is 0
+        c = node.value
+        out = np.array(c if ev.point.dtype == complex else c.real)
     elif isinstance(node, Neg):
         out = -_eval_node(node.arg, ev)
     elif isinstance(node, Pow):
-        out = _power(_eval_node(node.base, ev), node.exponent, ev.arith)
+        out = _power(_eval_node(node.base, ev), node.exponent)
     elif isinstance(node, Call):
         out = _call(node.func, _eval_node(node.arg, ev), ev.order)
     else:
@@ -810,14 +786,14 @@ class ScalarField:
         self._analyse()
         return self._real
 
-    def _arith(self, point):
-        """(arithmetic, point as an array of its dtype) of an evaluation:
-        float64 for a real-closed field at a real point, else complex128."""
+    def _point(self, point):
+        """The point of an evaluation as an array of its dtype: float64 for
+        a real-closed field at a real point, else complex128."""
         pt = np.asarray(point)
         if self._shared is None:
             self._analyse()
-        arith = _REAL if self._real and pt.dtype.kind in "biuf" else _COMPLEX
-        return arith, pt.astype(arith.dtype, copy=False)
+        real = self._real and pt.dtype.kind in "biuf"
+        return pt.astype(float if real else complex, copy=False)
 
     def eval_jet(self, point, order=3):
         """Jet of the field at `point` (length-dim vector or batch thereof).
@@ -830,25 +806,25 @@ class ScalarField:
         the entry that failed."""
         if not 0 <= order <= MAX_ORDER:
             raise ValueError("order must be in 0..3")
-        arith, pt = self._arith(point)
+        pt = self._point(point)
         if pt.shape[-1] != self.dim:
             raise ArityError(
                 f"point has {pt.shape[-1]} components, field has dim {self.dim}"
             )
         stacked = isinstance(self.ast, Stack)
-        ev = _Evaluation(pt, order, arith, self._shared)
+        ev = _Evaluation(pt, order, self._shared)
         # an overflow or NaN fails closed in _eval_entry, not as a warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             jets = [_eval_entry(f, ev)
                     for f in (self.ast.fields if stacked else (self,))]
-        jets = [_batch_first(j, self.dim, order, pt.shape[:-1], arith.dtype)
+        jets = [_batch_first(j, self.dim, order, pt.shape[:-1], pt.dtype)
                 for j in jets]
         if stacked:
             return Jet(self.dim, order,
                        *map(np.stack, zip(*(j.slots() for j in jets))))
         jet = jets[0]
         if pt.ndim == 1:
-            jet.value = arith.scalar(jet.value)
+            jet.value = jet.value.item()
         return jet
 
     def __call__(self, point):
@@ -921,8 +897,8 @@ def stack(fields):
     Its eval_jet evaluates every entry in one call, each subtree that the
     entries share (by node) and each coordinate once, and returns slots
     with the entry axis first: value (E,)+B, grad (E,)+B+(n,), ...  The
-    arithmetic is chosen for the stack as a whole, so it is float64 only
-    if every entry is real-closed.
+    dtype is chosen for the stack as a whole, so it is float64 only if
+    every entry is real-closed.
     """
     fields = tuple(fields)
     dims = {f.dim for f in fields}

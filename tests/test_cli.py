@@ -98,14 +98,12 @@ class TestRunCommand:
         report = json.loads(out.read_text().strip())
         assert report["kind"] == "flat-pencil"
 
-    def test_parallel_matches_serial(self, tmp_path, capsys):
+    def test_parallel_is_rejected(self, tmp_path, capsys):
         path = write_manifest(tmp_path, pair_manifest({}))
-        main(["run", path])
-        serial = json.loads(capsys.readouterr().out.strip())
-        main(["run", path, "--parallel"])
-        parallel = json.loads(capsys.readouterr().out.strip())
-        for key in ("verdicts", "max_residuals"):
-            assert serial[key] == parallel[key]
+        with pytest.raises(SystemExit) as exc:
+            main(["run", path, "--parallel"])
+        assert exc.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
 
     def test_multiple_jobs_stream_in_order(self, tmp_path, capsys):
         payload = pair_manifest({})
@@ -491,6 +489,15 @@ def _one_job(**job):
     return _run({"version": 1, "dim": 2, "jobs": [job]})
 
 
+COORD = {"diagonal": ["u1", "u2"]}
+
+
+def _with_metrics(coord, eye={"identity": True}):
+    """The pair manifest with its metrics "coord" and "eye" replaced."""
+    return _run({**pair_manifest({}),
+                 "metrics": {"coord": coord, "eye": eye}})
+
+
 LAME_JOB = {"kind": "lame-check", "H": ["exp(u1)", "1+u2^2"],
             "f": ["u1", "u1"]}
 TWOCOMP_JOB = {"kind": "two-component", "b1": "sqrt(u1-u2)",
@@ -580,6 +587,24 @@ INPUT_ERRORS = {
         _one_job(**{**DRESSING_JOB, "phi": {"0,2": GAUSSIAN}}), "'0,2'"),
     "dressing-potential-key-not-integers": (
         _one_job(**{**DRESSING_JOB, "phi": {"a,b": GAUSSIAN}}), "'a,b'"),
+    "dressing-out-beta-integer": (_one_job(**DRESSING_JOB, out_beta=1),
+                                  "'out_beta'"),
+    "dressing-out-beta-list": (_one_job(**DRESSING_JOB, out_beta=["x"]),
+                               "'out_beta'"),
+    "dressing-out-beta-empty": (_one_job(**DRESSING_JOB, out_beta=""),
+                                "'out_beta'"),
+    "dressing-out-beta-unwritable": (lambda tmp: _one_job(
+        **DRESSING_JOB, out_beta=str(tmp / "missing" / "b.bin"))(tmp),
+        "cannot write 'out_beta'"),
+    "metric-identity-false-with-diagonal": (_with_metrics(
+        {"identity": False, "diagonal": ["u1", "u2"]}), "exactly one"),
+    "metric-identity-false": (_with_metrics(COORD, {"identity": False}),
+                              "'eye': identity must be true"),
+    "metric-identity-not-boolean": (_with_metrics(COORD, {"identity": 1}),
+                                    "'eye': identity must be true"),
+    "metric-diagonal-with-entries": (_with_metrics(
+        {**COORD, "entries": [["u1", "0"], ["0", "u2"]]}), "exactly one"),
+    "metric-no-kind": (_with_metrics({"diag": ["u1", "u2"]}), "exactly one"),
 }
 
 

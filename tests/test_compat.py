@@ -863,3 +863,27 @@ class TestSampling:
         a = sample_points(3, 5, seed=9)
         b = sample_points(3, 5, seed=9)
         assert np.array_equal(a, b)
+
+
+def _diagonal(*texts):
+    return MetricField.diagonal([expr.parse(t, len(texts)) for t in texts])
+
+
+# (call, message) of each fail-closed check on malformed input
+FAIL_CLOSED = {
+    "pair-dimensions": (lambda: MetricPair(
+        _diagonal("u1", "u2"), _diagonal("1", "1", "1"), [[0.5, 0.6]]),
+        "share a dimension"),
+    "eta-not-symmetric": (lambda: compat._eta_up([[1.0, 2.0], [0.0, 1.0]]),
+                          "eta must be symmetric"),
+    # no two coordinates in [0.2, 2] are 10 apart
+    "sample-points-exhausted": (lambda: sample_points(2, 5, min_sep=10.0),
+                                "could not draw"),
+}
+
+
+@pytest.mark.parametrize("case", list(FAIL_CLOSED))
+def test_fail_closed_input_checks(case):
+    call, message = FAIL_CLOSED[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -242,10 +242,38 @@ class TestRealClosed:
             assert np.array_equal(expr._int_power(x, e), want.real)
 
     def test_real_reciprocal_is_complex_real_part(self):
+        # 1/v, -1/v^2, 2/v^3, -6/v^4 by numpy's complex power
         x = np.random.default_rng(1).uniform(-3, 3, 100000)
-        for got, want in zip(expr._REAL.reciprocal_derivs(x),
-                             expr._COMPLEX.reciprocal_derivs(x + 0j)):
-            assert np.array_equal(got, want.real)
+        z = x + 0j
+        want = [1.0 / z, -1.0 / z**2, 2.0 / z**3, -6.0 / z**4]
+        for got, w in zip(expr._power_derivs(x, -1), want):
+            assert np.array_equal(got, w.real)
+
+    @pytest.mark.parametrize("e", range(-4, 6))
+    def test_complex_power_at_real_points_is_float_power(self, e):
+        # one routine for both dtypes: at real-valued complex points the
+        # derivatives of v**e (of 1/v at e = -1) are the float64 bits
+        x = np.random.default_rng(2).uniform(-3, 3, 4096)
+        for z in (x + 0j, np.array([complex(v, -0.0) for v in x])):
+            for got, want in zip(expr._power_derivs(z, e),
+                                 expr._power_derivs(x, e)):
+                assert got.real.tobytes() == want.tobytes()
+                assert not got.imag.any()
+
+    @pytest.mark.parametrize("power,product", [
+        ("-u1^4", "-(u1*u1)*(u1*u1)"),
+        ("-u1^6", "-(u1*u1)*((u1*u1)*(u1*u1))"),
+        ("-u1^-4", "-1/((u1*u1)*(u1*u1))")])
+    def test_power_zero_sign_is_its_products(self, power, product):
+        # an integer power's zero imaginary part has the sign that the
+        # products of binary powering give, so sqrt and ln after it take
+        # the branch that the written-out product takes
+        for func in ("sqrt", "ln"):
+            f = expr.parse(f"{func}({power})", 1)
+            g = expr.parse(f"{func}({product})", 1)
+            for u in ([-0.5], [0.5], [[-0.5], [0.5]]):
+                got, want = (np.asarray(h(u)).tobytes() for h in (f, g))
+                assert got == want
 
 
 def mirror_loops(t, rank):
@@ -418,8 +446,8 @@ class TestRandomFieldsAgainstFiniteDifferences:
 # The evaluator before constants were folded, kept as the reference: every
 # Const became a batch-sized jet of zeros, every subtree was evaluated where
 # it occurs, slots were full and batch first, and rank-2 products and
-# compositions were symmetrized.  It runs in the arithmetic that eval_jet
-# chooses (float64 or complex128), whose dtype its point carries; the
+# compositions were symmetrized.  It runs in the dtype that eval_jet
+# chooses (float64 or complex128), which its point carries; the
 # elementary-function derivatives it uses are expr's; its tensor helpers
 # follow.
 
@@ -439,10 +467,6 @@ def parent_sym_pair(h, v):
     return t + np.swapaxes(t, -1, -2) + np.moveaxis(t, -1, -3)
 
 
-def arith_of(dtype):
-    return expr._REAL if np.dtype(dtype) == np.float64 else expr._COMPLEX
-
-
 class ParentJet:
     def __init__(self, n, order, value, grad=None, hess=None, third=None):
         self.n, self.order = n, order
@@ -451,13 +475,10 @@ class ParentJet:
     def slots(self):
         return (self.value, self.grad, self.hess, self.third)[: self.order + 1]
 
-    @property
-    def arith(self):
-        return arith_of(self.value.dtype)
-
     @staticmethod
     def constant(c, n, order, batch_shape, dtype=complex):
-        value = np.full(batch_shape, arith_of(dtype).literal(complex(c)),
+        c = complex(c)
+        value = np.full(batch_shape, c if dtype == complex else c.real,
                         dtype=dtype)
         return ParentJet(n, order, value,
                          *parent_zero_slots(n, order, batch_shape, dtype))
@@ -526,7 +547,7 @@ class ParentJet:
         v = self.value
         if np.any(v == 0):
             raise DomainError("division by zero")
-        return self.compose(self.arith.reciprocal_derivs(v))
+        return self.compose(expr._power_derivs(v, -1))
 
     def __truediv__(self, other):
         return self * other.reciprocal()
@@ -538,7 +559,7 @@ class ParentJet:
                                       v.dtype)
         if e < 0 and np.any(v == 0):
             raise DomainError("zero raised to a negative power")
-        return self.compose(self.arith.power_derivs(v, e))
+        return self.compose(expr._power_derivs(v, e))
 
 
 def parent_call_jet(func, j):
@@ -573,14 +594,14 @@ def parent_eval_node(node, point, order, calls=None):
 
 
 def parent_eval_jet(f, point, order):
-    """The reference jet, in the arithmetic that f.eval_jet(point) uses."""
-    arith, pt = f._arith(point)
+    """The reference jet, in the dtype that f.eval_jet(point) uses."""
+    pt = f._point(point)
     jet = parent_eval_node(f.ast, pt, order)
     for slot in jet.slots():
         if not np.isfinite(slot).all():
             raise DomainError("non-finite slot")
     if pt.ndim == 1:
-        jet.value = arith.scalar(jet.value)
+        jet.value = jet.value.item()
     return jet
 
 
@@ -611,7 +632,7 @@ def magnitude_jet(node, point, order):
         if node.op == "*":
             return a * b, ma * mb
         r = b.reciprocal()
-        return a * r, ma * chain(mb, expr._reciprocal_derivs(b.value))
+        return a * r, ma * chain(mb, expr._power_derivs(b.value, -1))
     if isinstance(node, expr.Pow):
         j, m = ev(node.base)
         if node.exponent == 0:
@@ -892,7 +913,7 @@ def entry_bytes(jet, e=None):
 class TestStack:
     """stack(fields).eval_jet evaluates the entries together: each slot has
     the entry axis first and holds, entry by entry, the bytes of that
-    entry's own eval_jet in the stack's arithmetic."""
+    entry's own eval_jet in the stack's dtype."""
 
     @pytest.mark.parametrize("batch", [(), (5,), (4, 3)])
     @pytest.mark.parametrize("kind", ["real", "complex", "mixed"])

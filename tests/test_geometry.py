@@ -592,3 +592,26 @@ class TestEntryEvaluation:
                 assert all(np.array_equal(getattr(jets[k], f.name),
                                           getattr(ref, f.name))
                            for f in fields(GeometryJet))
+
+
+U = [expr.parse("u1", 2), expr.parse("u2", 2)]
+# (call, message) of each fail-closed check on malformed input
+FAIL_CLOSED = {
+    "entries-not-square": (lambda: MetricField(2, CONTRAVARIANT, [U]),
+                           "N x N"),
+    "entries-ragged": (lambda: MetricField(2, CONTRAVARIANT, [U, U[:1]]),
+                       "N x N"),
+    "upper-dimensions": (lambda: MetricField.from_upper(
+        {(0, 0): U[0], (1, 1): expr.parse("u1", 3)}, CONTRAVARIANT),
+        "share a dimension"),
+    "combination-dimensions": (lambda: linear_combination(
+        1.0, MetricField.diagonal(U),
+        1.0, MetricField.from_constant(np.eye(3))), "share a dimension"),
+}
+
+
+@pytest.mark.parametrize("case", list(FAIL_CLOSED))
+def test_fail_closed_input_checks(case):
+    call, message = FAIL_CLOSED[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -457,3 +457,27 @@ class TestGridRoute:
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError):
             read_beta_grid(path)
+
+
+H2 = [expr.parse("exp(u1)", 2), expr.parse("1+u2^2", 2)]
+# (call, message) of each fail-closed check on malformed input
+FAIL_CLOSED = {
+    "f-count": (lambda tmp: LameData(H2, F_ID[:1]),
+                "one eigenvalue function per axis"),
+    "H-dimension": (lambda tmp: LameData([H2[0], expr.parse("u1", 3)], F_ID),
+                    "H entries must have dim N"),
+    "f-dimension": (lambda tmp: LameData(H2, [F_ID[0], H2[0]]),
+                    "single-variable"),
+    "beta-grid-not-square": (lambda tmp: write_beta_grid(
+        tmp / "b.bin", np.zeros((2, 3, 4)), 0.0, 1.0), r"shape \(N, N, m\)"),
+    "beta-grid-two-axes": (lambda tmp: write_beta_grid(
+        tmp / "b.bin", np.zeros((2, 2)), 0.0, 1.0), r"shape \(N, N, m\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(FAIL_CLOSED))
+def test_fail_closed_input_checks(case, tmp_path):
+    call, message = FAIL_CLOSED[case]
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)
+    assert not (tmp_path / "b.bin").exists()

@@ -368,3 +368,24 @@ class TestConformalPairProperties:
         r = check_almost_compatible(MetricPair(g1, g2, pts3))
         assert r.passed
         assert not check_compatible(MetricPair(g1, g2, pts3)).passed
+
+
+ONE = expr.parse("1", 2)
+# (call, message) of each fail-closed check on malformed input
+FAIL_CLOSED = {
+    "b-one-variable": (lambda: TwoCompModel(
+        expr.parse("1", 1), ONE, ONE, 1, 1, F_U1, F_U1), "two-variable"),
+    "F-three-variable": (lambda: TwoCompModel(
+        ONE, ONE, expr.parse("u3", 3), 1, 1, F_U1, F_U1), "two-variable"),
+    "harmonic-flatness-dimension": (lambda: harmonic_flatness(
+        expr.parse("u1", 1), [[0.5]]), "two-dimensional"),
+    "liouville-dimension": (lambda: liouville_check(
+        expr.parse("u1", 3), 1.0, [[0.5, 0.6, 0.7]]), "two-dimensional"),
+}
+
+
+@pytest.mark.parametrize("case", list(FAIL_CLOSED))
+def test_fail_closed_input_checks(case):
+    call, message = FAIL_CLOSED[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from flatpencil import expr, zakharov
-from flatpencil.errors import SingularOperator, TruncationWarning
+from flatpencil.errors import DomainError, SingularOperator, TruncationWarning
 from flatpencil.lame import RotationCoeffs, lame_residuals
 from flatpencil.zakharov import (
     DressingProblem,
@@ -385,3 +385,51 @@ class TestDressingRotation:
             # dF[k] is [i, a, j, b]; fd is [i, j, a, b]
             dk = dF[k].swapaxes(1, 2)
             assert np.max(np.abs(dk - fd)) < 1e-6 * np.max(np.abs(dk))
+
+
+def _problem_with(**change):
+    fields = dict(dim=2, Phi={}, u=np.array([0.3, 0.4]), s_min=0.0,
+                  s_max=1.0, m=9, f=None)
+    return lambda: DressingProblem(**{**fields, **change})
+
+
+U1 = expr.parse("u1", 1)
+# (call, exception, message) of each fail-closed check on malformed input
+FAIL_CLOSED = {
+    "base-point-length": (_problem_with(u=np.array([0.3])), ValueError,
+                          "base point"),
+    "grid-reversed": (_problem_with(s_min=1.0, s_max=0.0), ValueError,
+                      "s_max > s_min"),
+    "grid-one-node": (_problem_with(m=1), ValueError, "two nodes"),
+    "potential-one-variable": (_problem_with(Phi={(0, 1): U1}), ValueError,
+                               "two-variable"),
+    "f-two-variable": (_problem_with(f=[expr.parse("u1", 2), U1]),
+                       ValueError, "single-variable"),
+    # f^1(u^1 - s) = u^1 - s is zero at the node s = 0.3 of 11 on [0, 1]
+    "f-vanishes-on-grid": (
+        lambda: reduction_ratio(gaussian_problem(m=11, f=[U1, U1])),
+        DomainError, "eigenvalue function 0 vanishes"),
+    "pdes-without-f": (
+        lambda: check_phi_pdes(gaussian_problem(m=9), [[0.1, 0.2]]),
+        ValueError, "no eigenvalue functions"),
+    # sum of weights times F is 1.5 > 1: the series grows, never settles
+    "neumann-diverges": (
+        lambda: neumann_solution(KernelGrid(
+            np.full((1, 1, 9, 9), 1.5), np.linspace(0.0, 1.0, 9), "raw"), 0),
+        RuntimeError, "did not converge"),
+    "dressed-base-point-length": (
+        lambda: dressing_rotation(gaussian_problem(m=9)).value([0.3]),
+        ValueError, "base point"),
+    # I - W F is exactly singular: trapezoid weights 1/2, 1/2 and F = 1
+    "row-matrix-singular": (
+        lambda: zakharov._solve_row(np.ones((1, 1, 2, 2)),
+                                    np.array([0.0, 1.0]), 0),
+        SingularOperator, "cond ~ inf"),
+}
+
+
+@pytest.mark.parametrize("case", list(FAIL_CLOSED))
+def test_fail_closed_input_checks(case):
+    call, exc, message = FAIL_CLOSED[case]
+    with pytest.raises(exc, match=message):
+        call()
